@@ -5,7 +5,7 @@ FUZZTIME ?= 5s
 #   go install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: help build test check bench bench-json bench-diff race vet fmt fuzz-smoke oracle trace-guard telemetry alert series-guard prof prof-guard chaos serve scenario slo slo-guard adapt adapt-guard staticcheck
+.PHONY: help build test check bench bench-json bench-diff race vet fmt fuzz-smoke allocs oracle trace-guard telemetry alert series-guard prof prof-guard chaos serve scenario slo slo-guard adapt adapt-guard staticcheck
 
 # help lists the targets; keep the `##` summaries next to the targets
 # they describe.
@@ -13,9 +13,11 @@ help:
 	@echo "wsnq targets:"
 	@echo "  build       compile every package and tool"
 	@echo "  test        run the full test suite"
-	@echo "  check       the merge gate: vet + staticcheck + race + oracle + telemetry + alert + prof + chaos + serve + scenario + slo + adapt + fuzz-smoke"
+	@echo "  check       the merge gate: vet + staticcheck + race + allocs + oracle + telemetry + alert + prof + chaos + serve + scenario + slo + adapt + fuzz-smoke"
 	@echo "  vet         static analysis"
 	@echo "  race        full suite under the race detector"
+	@echo "  allocs      round-path memory contract: zero-alloc convergecast, no loss"
+	@echo "              sampler on lossless runtimes, no recycled buffer in results"
 	@echo "  oracle      flight-recorder collectors + invariant oracle suite"
 	@echo "  telemetry   registry race test and snapshot-determinism test under -race"
 	@echo "  alert       series ring race-hammer and alert rule-engine determinism"
@@ -59,6 +61,15 @@ vet:
 
 race:
 	$(GO) test -race ./...
+
+# allocs gates the round path's memory contract (DESIGN.md §4l): a warm
+# convergecast with a non-allocating merge allocates nothing, a
+# lossless runtime never builds its loss sampler, and what the
+# collectors return survives the payload recycling of later
+# convergecasts on the same runtime.
+allocs:
+	$(GO) test -count=1 -run '^(TestConvergecastAllocFree|TestLosslessRuntimeHasNoRNG)$$' -v ./internal/sim/
+	$(GO) test -count=1 -run '^TestCollectorResultsSurviveRecycling$$' -v ./internal/protocol/
 
 # oracle runs the flight-recorder suite: collectors, the invariant
 # checker, and the differential tests against the centralized oracle.
@@ -170,6 +181,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBucketsIndex$$' -fuzztime $(FUZZTIME) ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime $(FUZZTIME) ./internal/fault/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseScenario$$' -fuzztime $(FUZZTIME) ./internal/scenario/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME) ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePolicy$$' -fuzztime $(FUZZTIME) ./internal/adapt/
 
 # trace-guard measures the disabled flight recorder against the
@@ -198,11 +210,12 @@ staticcheck:
 # check is the gate every change must pass: static analysis (vet
 # always, staticcheck when installed — see the staticcheck target),
 # the full suite under the race detector (the parallel engine makes
-# this the interesting configuration), the oracle suite, the telemetry
+# this the interesting configuration), the round path's allocation
+# gate, the oracle suite, the telemetry
 # gate, the observability gate, the profiling gate, the chaos gate,
 # the query-service gate, the golden-scenario gate, the SLO gate, the
 # closed-loop adaptation gate, and a fuzz smoke run.
-check: vet staticcheck race oracle telemetry alert prof chaos serve scenario slo adapt fuzz-smoke
+check: vet staticcheck race allocs oracle telemetry alert prof chaos serve scenario slo adapt fuzz-smoke
 
 bench:
 	$(GO) test -bench . -benchmem .

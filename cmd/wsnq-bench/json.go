@@ -257,6 +257,17 @@ func runBenchJSON(out string, reps int) error {
 		AllocsPerOp: sloRes.AllocsPerOp(),
 	})
 
+	for _, lb := range layerBenches {
+		fmt.Fprintf(os.Stderr, "wsnq-bench: measuring %s...\n", lb.name)
+		res := measure(reps, lb.fn)
+		f.Results = append(f.Results, benchfmt.Result{
+			Name:        lb.name,
+			NsPerOp:     float64(res.NsPerOp()),
+			BytesPerOp:  res.AllocedBytesPerOp(),
+			AllocsPerOp: res.AllocsPerOp(),
+		})
+	}
+
 	// One whole-study engine sample: a shared-deployment comparison of
 	// the standard line-up (no per-round interpretation).
 	fmt.Fprintln(os.Stderr, "wsnq-bench: measuring EngineCompare...")

@@ -94,6 +94,7 @@ func (q *QD) Step(rt *sim.Runtime) (int, error) {
 			return 0, err
 		}
 	}
+	clear(atRoot)
 	v, err := root.Quantile(int64(q.k))
 	if err != nil {
 		return 0, err
@@ -169,6 +170,7 @@ func (s *Sample) Step(rt *sim.Runtime) (int, error) {
 	for _, p := range atRoot {
 		sample = append(sample, p.(*protocol.Values).Vals...)
 	}
+	clear(atRoot)
 	if len(sample) == 0 {
 		// An empty draw can happen at small n·p; reuse the previous
 		// estimate (stale but available), as a deployed system would.

@@ -35,6 +35,11 @@ type LCLL struct {
 	win    spanRange
 	cover  spanRange
 	hasWin bool
+
+	// Validation payloads recycled across rounds, and the merge buffer
+	// their sorted delta lists swap with (see mergeDeltas).
+	freeDeltas []*cellDeltas
+	mergeBuf   []cellDelta
 }
 
 // spanRange is a half-open refined region.
@@ -140,35 +145,52 @@ func (l *LCLL) Step(rt *sim.Runtime) (int, error) {
 
 // validate runs the improved delta validation: a node whose value
 // slipped to another cell reports (oldCell, -1) and (newCell, +1);
-// deltas aggregate by addition and cancel out in-network.
+// deltas aggregate by addition and cancel out in-network. A node with
+// children merges into its first child's payload; merged-away and
+// root-delivered payloads return to the instance's free list for the
+// next leaves and rounds.
 func (l *LCLL) validate(rt *sim.Runtime) {
 	sizes := rt.Sizes()
 	part := l.part
 	atRoot := rt.Convergecast(func(n int, children []sim.Payload) sim.Payload {
-		var d *cellDeltas
 		oldC, ok1 := part.CellOf(l.prev[n])
 		newC, ok2 := part.CellOf(rt.Reading(n))
-		if ok1 && ok2 && oldC != newC {
-			d = newCellDeltas(sizes)
-			d.add(oldC, -1)
-			d.add(newC, +1)
-		}
-		for _, ch := range children {
-			if d == nil {
-				d = newCellDeltas(sizes)
+		moved := ok1 && ok2 && oldC != newC
+		var d *cellDeltas
+		switch {
+		case len(children) > 0:
+			d = children[0].(*cellDeltas)
+			for _, ch := range children[1:] {
+				o := ch.(*cellDeltas)
+				l.mergeDeltas(d, o.ent)
+				l.freeDeltas = append(l.freeDeltas, o)
 			}
-			d.merge(ch.(*cellDeltas))
+		case !moved:
+			return nil
+		default:
+			d = l.newDeltas(sizes)
 		}
-		if d == nil || d.empty() {
+		if moved {
+			own := [2]cellDelta{{oldC, -1}, {newC, +1}}
+			if newC < oldC {
+				own[0], own[1] = own[1], own[0]
+			}
+			l.mergeDeltas(d, own[:])
+		}
+		if len(d.ent) == 0 {
+			l.freeDeltas = append(l.freeDeltas, d)
 			return nil
 		}
 		return d
 	})
 	for _, p := range atRoot {
-		for cell, dv := range p.(*cellDeltas).deltas {
-			part.AddDelta(cell, dv)
+		d := p.(*cellDeltas)
+		for _, e := range d.ent {
+			part.AddDelta(e.cell, e.dv)
 		}
+		l.freeDeltas = append(l.freeDeltas, d)
 	}
+	clear(atRoot)
 }
 
 // refine drives the partition until the rank-owning cell has unit
@@ -342,7 +364,8 @@ func (l *LCLL) slideTo(rt *sim.Runtime, win spanRange) error {
 		l.hasWin = false
 	}
 	cover := l.coveringTopRange(win)
-	bounds := []int{cover.Lo}
+	bounds := make([]int, 1, win.Hi-win.Lo+3)
+	bounds[0] = cover.Lo
 	for x := win.Lo; x <= win.Hi; x++ {
 		if x > cover.Lo && x < cover.Hi {
 			bounds = append(bounds, x)
@@ -399,35 +422,60 @@ func (l *LCLL) snapshotPrev(rt *sim.Runtime) {
 
 // --- payloads ---
 
-// cellDeltas is the validation payload: per-cell count deltas.
+// cellDeltas is the validation payload: the non-zero per-cell count
+// deltas, sorted by cell.
 type cellDeltas struct {
-	deltas map[int]int
-	sizes  msg.Sizes
+	ent   []cellDelta
+	sizes msg.Sizes
 }
 
-func newCellDeltas(s msg.Sizes) *cellDeltas {
-	return &cellDeltas{deltas: make(map[int]int), sizes: s}
-}
+// cellDelta is one (cell, signed count) pair.
+type cellDelta struct{ cell, dv int }
 
-func (d *cellDeltas) add(cell, dv int) {
-	d.deltas[cell] += dv
-	if d.deltas[cell] == 0 {
-		delete(d.deltas, cell)
+// newDeltas returns an empty validation payload, recycled when one is
+// free.
+func (l *LCLL) newDeltas(s msg.Sizes) *cellDeltas {
+	if n := len(l.freeDeltas); n > 0 {
+		d := l.freeDeltas[n-1]
+		l.freeDeltas = l.freeDeltas[:n-1]
+		d.ent, d.sizes = d.ent[:0], s
+		return d
 	}
+	return &cellDeltas{sizes: s}
 }
 
-func (d *cellDeltas) merge(o *cellDeltas) {
-	for c, dv := range o.deltas {
-		d.add(c, dv)
+// mergeDeltas adds the sorted pairs add into d, dropping cells whose
+// deltas cancel. The merge writes into the instance's buffer, which
+// then trades places with d's old list, so merging allocates only
+// while the buffers grow.
+func (l *LCLL) mergeDeltas(d *cellDeltas, add []cellDelta) {
+	a, out := d.ent, l.mergeBuf[:0]
+	i, j := 0, 0
+	for i < len(a) && j < len(add) {
+		switch {
+		case a[i].cell < add[j].cell:
+			out = append(out, a[i])
+			i++
+		case add[j].cell < a[i].cell:
+			out = append(out, add[j])
+			j++
+		default:
+			if dv := a[i].dv + add[j].dv; dv != 0 {
+				out = append(out, cellDelta{a[i].cell, dv})
+			}
+			i++
+			j++
+		}
 	}
+	out = append(out, a[i:]...)
+	out = append(out, add[j:]...)
+	d.ent, l.mergeBuf = out, a[:0]
 }
-
-func (d *cellDeltas) empty() bool { return len(d.deltas) == 0 }
 
 // Bits implements sim.Payload: one (index, signed count) pair per
 // non-canceled cell.
 func (d *cellDeltas) Bits() int {
-	return len(d.deltas) * 2 * d.sizes.CounterBits
+	return len(d.ent) * 2 * d.sizes.CounterBits
 }
 
 // collectCellCounts gathers the exact per-cell counts for the cell list
@@ -435,35 +483,11 @@ func (d *cellDeltas) Bits() int {
 // [bounds[0], bounds[last]) respond, and histograms aggregate by
 // addition and travel compressed.
 func collectCellCounts(rt *sim.Runtime, bounds []int) []int {
-	sizes := rt.Sizes()
 	lo, hi := bounds[0], bounds[len(bounds)-1]
-	cellOf := func(v int) int {
-		return sort.SearchInts(bounds, v+1) - 1
-	}
-	atRoot := rt.Convergecast(func(n int, children []sim.Payload) sim.Payload {
-		var counts []int
-		if v := rt.Reading(n); v >= lo && v < hi {
-			counts = make([]int, len(bounds)-1)
-			counts[cellOf(v)]++
+	return protocol.CollectCounts(rt, len(bounds)-1, func(v int) (int, bool) {
+		if v < lo || v >= hi {
+			return 0, false
 		}
-		for _, ch := range children {
-			if counts == nil {
-				counts = make([]int, len(bounds)-1)
-			}
-			for i, c := range ch.(*protocol.Histogram).Counts {
-				counts[i] += c
-			}
-		}
-		if counts == nil {
-			return nil
-		}
-		return protocol.NewHistogram(counts, sizes)
+		return sort.SearchInts(bounds, v+1) - 1, true
 	})
-	total := make([]int, len(bounds)-1)
-	for _, p := range atRoot {
-		for i, c := range p.(*protocol.Histogram).Counts {
-			total[i] += c
-		}
-	}
-	return total
 }

@@ -122,10 +122,11 @@ func (p *Partition) Replace(lo, hi int, innerBounds []int, counts []int) error {
 	if counts == nil {
 		counts = make([]int, len(innerBounds)-1)
 	}
-	newBounds := append([]int{}, p.bounds[:i]...)
+	cells := i + len(counts) + len(p.counts) - j
+	newBounds := append(make([]int, 0, cells+1), p.bounds[:i]...)
 	newBounds = append(newBounds, innerBounds[:len(innerBounds)-1]...)
 	newBounds = append(newBounds, p.bounds[j:]...)
-	newCounts := append([]int{}, p.counts[:i]...)
+	newCounts := append(make([]int, 0, cells), p.counts[:i]...)
 	newCounts = append(newCounts, counts...)
 	newCounts = append(newCounts, p.counts[j:]...)
 	p.bounds, p.counts = newBounds, newCounts

@@ -75,7 +75,9 @@ type Result struct {
 // adaptive study pays), the query service's registration path (what
 // every POST /queries pays), and the serve layer's per-round SLO
 // evaluation (what every query with objectives pays on top of its
-// protocol round). A >15% slowdown of any of them fails the guard;
+// protocol round), plus the layers under every round: one convergecast
+// of the radio core, one ledger charge pair, and one histogram codec
+// round trip. A >15% slowdown of any of them fails the guard;
 // benchmarks absent from either session are skipped, so old files
 // without the newer paths still diff cleanly.
 func TrackedHotPaths() []string {
@@ -85,6 +87,7 @@ func TrackedHotPaths() []string {
 		"RoundIQAdapt",
 		"ServeRegisterQuery",
 		"ServeSLOEval",
+		"Convergecast", "LedgerCharge", "HistogramCodec",
 	}
 }
 
@@ -218,14 +221,15 @@ func (r AllocRegression) String() string {
 // the old count grown by threshold (0.10 = +10%) otherwise — so
 // schema-1 history still gates relative growth. Allocations are
 // deterministic per op (unlike ns/op), which is what makes a hard
-// ceiling enforceable at all. Benchmarks absent from either session
-// are skipped.
+// ceiling enforceable at all. A path the old session measured at zero
+// allocations must stay at zero: its relative budget is zero too.
+// Benchmarks absent from either session are skipped.
 func AllocRegressions(old, new File, tracked []string, threshold float64) []AllocRegression {
 	var out []AllocRegression
 	for _, name := range tracked {
 		o, okOld := old.Result(name)
 		n, okNew := new.Result(name)
-		if !okOld || !okNew || o.AllocsPerOp <= 0 {
+		if !okOld || !okNew || o.AllocsPerOp < 0 {
 			continue
 		}
 		ceiling := o.AllocsCeiling

@@ -160,6 +160,15 @@ func TestAllocRegressions(t *testing.T) {
 	if regs := AllocRegressions(old, cur, TrackedHotPaths(), 0.10); len(regs) != 0 {
 		t.Errorf("improvement flagged: %v", regs)
 	}
+	// A zero-allocation path is ratcheted at zero.
+	zero := File{Results: []Result{{Name: "Convergecast", NsPerOp: 100}}}
+	if regs := AllocRegressions(zero, zero, TrackedHotPaths(), 0.10); len(regs) != 0 {
+		t.Errorf("steady zero-alloc path flagged: %v", regs)
+	}
+	one := File{Results: []Result{{Name: "Convergecast", NsPerOp: 100, AllocsPerOp: 1}}}
+	if regs := AllocRegressions(zero, one, TrackedHotPaths(), 0.10); len(regs) != 1 || regs[0].Ceiling != 0 {
+		t.Errorf("zero-alloc path allocating once: %v, want one regression over ceiling 0", regs)
+	}
 }
 
 func TestUniformShift(t *testing.T) {

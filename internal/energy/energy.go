@@ -61,7 +61,12 @@ func (p Params) SendCost(bits int, rho float64) float64 {
 	if bits <= 0 {
 		return 0
 	}
-	return (p.Alpha + p.Beta*math.Pow(rho, p.P)) * float64(bits)
+	return p.sendCoef(rho) * float64(bits)
+}
+
+// sendCoef returns the per-bit send cost α + β·ρ^p over range rho.
+func (p Params) sendCoef(rho float64) float64 {
+	return p.Alpha + p.Beta*math.Pow(rho, p.P)
 }
 
 // RecvCost returns the energy in joules to receive bits.
@@ -80,6 +85,13 @@ type Ledger struct {
 	params Params
 	spent  []float64 // cumulative consumption per node [J]
 	round  []float64 // consumption in the current round [J]
+
+	// The send coefficient of the last charged range: ChargeSend is
+	// called with the same nominal range for almost every hop, so one
+	// math.Pow per distinct range replaces one per transmission.
+	coefRho float64
+	coef    float64
+	hasCoef bool
 
 	tr    trace.Collector               // nil = debit tracing disabled
 	clock func() (round int, ph string) // round/phase stamp for debit events
@@ -126,7 +138,13 @@ func (l *Ledger) ChargeSend(node, bits int, rho float64) {
 	if node < 0 {
 		return
 	}
-	c := l.params.SendCost(bits, rho)
+	c := 0.0
+	if bits > 0 {
+		if !l.hasCoef || rho != l.coefRho {
+			l.coef, l.coefRho, l.hasCoef = l.params.sendCoef(rho), rho, true
+		}
+		c = l.coef * float64(bits)
+	}
 	l.spent[node] += c
 	l.round[node] += c
 	if l.tr != nil {

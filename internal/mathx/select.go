@@ -17,6 +17,16 @@ func KthSmallest(vs []int, k int) int {
 	return quickselect(buf, k-1)
 }
 
+// KthSmallestInPlace is KthSmallest for a caller-owned scratch slice:
+// it reorders buf instead of copying it, so a caller that refills the
+// same buffer every call selects without allocating.
+func KthSmallestInPlace(buf []int, k int) int {
+	if k < 1 || k > len(buf) {
+		panic(fmt.Sprintf("mathx: rank %d out of range for %d values", k, len(buf)))
+	}
+	return quickselect(buf, k-1)
+}
+
 // KthLargest returns the k-th largest element (1-based rank) of vs.
 func KthLargest(vs []int, k int) int {
 	return KthSmallest(vs, len(vs)-k+1)

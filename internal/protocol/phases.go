@@ -1,8 +1,10 @@
 package protocol
 
 import (
+	"slices"
 	"sort"
 
+	"wsnq/internal/msg"
 	"wsnq/internal/sim"
 )
 
@@ -48,43 +50,75 @@ type ValidationSpec struct {
 	Attach func(node, value int) bool
 }
 
+// leafChunk is how many fresh leaf payloads a collector allocates at
+// once.
+const leafChunk = 16
+
+// chunks hands out zeroed values from chunks of leafChunk, so a
+// convergecast allocates its leaf payloads per chunk, not per leaf.
+// Nothing outlives the collector call.
+type chunks[T any] struct{ buf []T }
+
+func (c *chunks[T]) next() *T {
+	if len(c.buf) == 0 {
+		c.buf = make([]T, leafChunk)
+	}
+	p := &c.buf[0]
+	c.buf = c.buf[1:]
+	return p
+}
+
 // RunValidation executes one validation convergecast: every node whose
 // measurement changed its filter region contributes movement counters
 // and hints; nodes matched by Attach additionally ship their values;
 // intermediate nodes aggregate; nodes with nothing to report stay
 // silent. The merged root view is returned (zero-valued if the whole
 // network stayed silent).
+//
+// A node with children folds its own contribution and its other
+// children into its first child's payload and forwards that, so only
+// reporting leaves need a payload.
 func RunValidation(rt *sim.Runtime, spec ValidationSpec) Counters {
 	sizes := rt.Sizes()
+	var leaves chunks[Counters]
 	atRoot := rt.Convergecast(func(n int, children []sim.Payload) sim.Payload {
 		cur := rt.Reading(n)
-		c := &Counters{mode: spec.Hints, sizes: sizes}
+		var own Counters
 		oldR := Classify(spec.Prev(n), spec.Lb, spec.Ub)
 		newR := Classify(cur, spec.Lb, spec.Ub)
 		if oldR != newR {
 			switch oldR {
 			case RegionLess:
-				c.OutOfL = 1
+				own.OutOfL = 1
 			case RegionGreater:
-				c.OutOfG = 1
+				own.OutOfG = 1
 			}
 			switch newR {
 			case RegionLess:
-				c.IntoL = 1
-				c.HintLo, c.HasLo = cur, true
+				own.IntoL = 1
+				own.HintLo, own.HasLo = cur, true
 			case RegionGreater:
-				c.IntoG = 1
-				c.HintHi, c.HasHi = cur, true
+				own.IntoG = 1
+				own.HintHi, own.HasHi = cur, true
 			}
 		}
-		if spec.Attach != nil && spec.Attach(n, cur) {
-			c.Attached = append(c.Attached, cur)
-		}
-		for _, ch := range children {
-			c.merge(ch.(*Counters))
-		}
-		if c.Empty() {
+		attach := spec.Attach != nil && spec.Attach(n, cur)
+		var c *Counters
+		switch {
+		case len(children) > 0:
+			c = children[0].(*Counters)
+			for _, ch := range children[1:] {
+				c.merge(ch.(*Counters))
+			}
+		case own.Empty() && !attach:
 			return nil
+		default:
+			c = leaves.next()
+			c.mode, c.sizes = spec.Hints, sizes
+		}
+		c.merge(&own)
+		if attach {
+			c.Attached = append(c.Attached, cur)
 		}
 		return c
 	})
@@ -92,6 +126,7 @@ func RunValidation(rt *sim.Runtime, spec ValidationSpec) Counters {
 	for _, p := range atRoot {
 		root.merge(p.(*Counters))
 	}
+	clear(atRoot)
 	sort.Ints(root.Attached)
 	return root
 }
@@ -103,28 +138,81 @@ func (s LEG) Apply(c *Counters) LEG {
 	return LEG{L: l, E: s.N() - l - g, G: g}
 }
 
+// valuesPool hands the Values payloads merged away during one
+// convergecast to later leaves, so their buffers serve again within
+// the same call. Nothing outlives the call.
+type valuesPool struct {
+	sizes msg.Sizes
+	free  []*Values
+	fresh chunks[Values]
+}
+
+// get returns an empty Values payload, recycled when one is free.
+func (vp *valuesPool) get() *Values {
+	if n := len(vp.free); n > 0 {
+		v := vp.free[n-1]
+		vp.free = vp.free[:n-1]
+		v.Vals = v.Vals[:0]
+		return v
+	}
+	v := vp.fresh.next()
+	v.sizes = vp.sizes
+	return v
+}
+
+// absorb appends the values of children[1:] to the first child's
+// payload, releases the merged-away payloads to the pool, and returns
+// the first child's payload as the node's accumulator, with room for
+// own more values; it returns nil for a node without children.
+func (vp *valuesPool) absorb(children []sim.Payload, own int) *Values {
+	if len(children) == 0 {
+		return nil
+	}
+	acc := children[0].(*Values)
+	more := own
+	for _, ch := range children[1:] {
+		more += len(ch.(*Values).Vals)
+	}
+	acc.Vals = slices.Grow(acc.Vals, more)
+	for _, ch := range children[1:] {
+		o := ch.(*Values)
+		acc.Vals = append(acc.Vals, o.Vals...)
+		vp.free = append(vp.free, o)
+	}
+	return acc
+}
+
+// rootValues concatenates the values that reached the root into a
+// fresh slice and releases the root entries (see Runtime.Convergecast).
+func rootValues(atRoot []sim.Payload) []int {
+	var all []int
+	for _, p := range atRoot {
+		all = append(all, p.(*Values).Vals...)
+	}
+	clear(atRoot)
+	return all
+}
+
 // CollectSmallestK is the TAG-style collection: every node merges its
 // measurement with its children's lists and forwards the k smallest.
 // The returned slice holds the (up to k) smallest measurements that
 // reached the root, ascending. Under loss, fewer or other values may
 // arrive; loss-free it is exact.
 func CollectSmallestK(rt *sim.Runtime, k int) []int {
-	sizes := rt.Sizes()
+	pool := valuesPool{sizes: rt.Sizes()}
 	atRoot := rt.Convergecast(func(n int, children []sim.Payload) sim.Payload {
-		vals := []int{rt.Reading(n)}
-		for _, ch := range children {
-			vals = append(vals, ch.(*Values).Vals...)
+		acc := pool.absorb(children, 1)
+		if acc == nil {
+			acc = pool.get()
 		}
-		sort.Ints(vals)
-		if len(vals) > k {
-			vals = vals[:k]
+		acc.Vals = append(acc.Vals, rt.Reading(n))
+		sort.Ints(acc.Vals)
+		if len(acc.Vals) > k {
+			acc.Vals = acc.Vals[:k]
 		}
-		return NewValues(vals, sizes, 0)
+		return acc
 	})
-	var all []int
-	for _, p := range atRoot {
-		all = append(all, p.(*Values).Vals...)
-	}
+	all := rootValues(atRoot)
 	sort.Ints(all)
 	if len(all) > k {
 		all = all[:k]
@@ -137,24 +225,25 @@ func CollectSmallestK(rt *sim.Runtime, k int) []int {
 // are concatenated unmodified. The result arrives sorted ascending.
 func CollectValuesIn(rt *sim.Runtime, lo, hi int) []int {
 	rt.TraceRefine(lo, hi, -1)
-	sizes := rt.Sizes()
+	pool := valuesPool{sizes: rt.Sizes()}
 	atRoot := rt.Convergecast(func(n int, children []sim.Payload) sim.Payload {
-		var vals []int
-		if v := rt.Reading(n); v >= lo && v <= hi {
-			vals = append(vals, v)
+		v, own := rt.Reading(n), 0
+		if v >= lo && v <= hi {
+			own = 1
 		}
-		for _, ch := range children {
-			vals = append(vals, ch.(*Values).Vals...)
+		acc := pool.absorb(children, own)
+		if acc == nil {
+			if own == 0 {
+				return nil
+			}
+			acc = pool.get()
 		}
-		if len(vals) == 0 {
-			return nil
+		if own == 1 {
+			acc.Vals = append(acc.Vals, v)
 		}
-		return NewValues(vals, sizes, 0)
+		return acc
 	})
-	var all []int
-	for _, p := range atRoot {
-		all = append(all, p.(*Values).Vals...)
-	}
+	all := rootValues(atRoot)
 	sort.Ints(all)
 	return all
 }
@@ -169,25 +258,30 @@ func CollectExtreme(rt *sim.Runtime, lo, hi, f int, largest bool) []int {
 		f = 0
 	}
 	rt.TraceRefine(lo, hi, f)
-	sizes := rt.Sizes()
+	pool := valuesPool{sizes: rt.Sizes()}
 	atRoot := rt.Convergecast(func(n int, children []sim.Payload) sim.Payload {
-		var vals []int
-		if v := rt.Reading(n); v >= lo && v <= hi {
-			vals = append(vals, v)
+		v, own := rt.Reading(n), 0
+		if v >= lo && v <= hi {
+			own = 1
 		}
-		for _, ch := range children {
-			vals = append(vals, ch.(*Values).Vals...)
+		acc := pool.absorb(children, own)
+		if acc == nil {
+			if own == 0 {
+				return nil
+			}
+			acc = pool.get()
 		}
-		vals = truncateExtreme(vals, f, largest)
-		if len(vals) == 0 {
+		if own == 1 {
+			acc.Vals = append(acc.Vals, v)
+		}
+		acc.Vals = truncateExtreme(acc.Vals, f, largest)
+		if len(acc.Vals) == 0 {
+			pool.free = append(pool.free, acc)
 			return nil
 		}
-		return NewValues(vals, sizes, 0)
+		return acc
 	})
-	var all []int
-	for _, p := range atRoot {
-		all = append(all, p.(*Values).Vals...)
-	}
+	all := rootValues(atRoot)
 	all = truncateExtreme(all, f, largest)
 	return all
 }
@@ -217,32 +311,59 @@ func truncateExtreme(vals []int, f int, largest bool) []int {
 // aggregate by vector addition, and only non-empty subtrees transmit.
 func CollectHistogram(rt *sim.Runtime, bu Buckets) []int {
 	rt.TraceRefine(bu.Lo, bu.Hi-1, bu.Effective())
+	return CollectCounts(rt, bu.Effective(), bu.Index)
+}
+
+// CollectCounts gathers a histogram of cells counts: cellOf maps a
+// measurement to its cell, or reports false for measurements outside
+// every cell. Histograms aggregate by vector addition, travel
+// compressed, and only non-empty subtrees transmit. A node with
+// children adds into its first child's histogram; the histograms of
+// the other children are merged away and serve later leaves of the
+// same call. The returned counts are freshly allocated.
+func CollectCounts(rt *sim.Runtime, cells int, cellOf func(v int) (int, bool)) []int {
 	sizes := rt.Sizes()
+	var free []*Histogram
+	var fresh chunks[Histogram]
+	var freshCounts []int
 	atRoot := rt.Convergecast(func(n int, children []sim.Payload) sim.Payload {
-		var counts []int
-		if idx, ok := bu.Index(rt.Reading(n)); ok {
-			counts = make([]int, bu.Effective())
-			counts[idx] = 1
-		}
-		for _, ch := range children {
-			h := ch.(*Histogram)
-			if counts == nil {
-				counts = make([]int, bu.Effective())
+		idx, in := cellOf(rt.Reading(n))
+		var acc *Histogram
+		switch {
+		case len(children) > 0:
+			acc = children[0].(*Histogram)
+			for _, ch := range children[1:] {
+				h := ch.(*Histogram)
+				for i, c := range h.Counts {
+					acc.Counts[i] += c
+				}
+				free = append(free, h)
 			}
-			for i, c := range h.Counts {
-				counts[i] += c
-			}
-		}
-		if counts == nil {
+		case !in:
 			return nil
+		case len(free) > 0:
+			acc = free[len(free)-1]
+			free = free[:len(free)-1]
+			clear(acc.Counts)
+		default:
+			if len(freshCounts) == 0 {
+				freshCounts = make([]int, leafChunk*cells)
+			}
+			acc = fresh.next()
+			acc.Counts, acc.sizes = freshCounts[:cells:cells], sizes
+			freshCounts = freshCounts[cells:]
 		}
-		return NewHistogram(counts, sizes)
+		if in {
+			acc.Counts[idx]++
+		}
+		return acc
 	})
-	total := make([]int, bu.Effective())
+	total := make([]int, cells)
 	for _, p := range atRoot {
 		for i, c := range p.(*Histogram).Counts {
 			total[i] += c
 		}
 	}
+	clear(atRoot)
 	return total
 }

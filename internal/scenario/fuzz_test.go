@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -77,6 +79,62 @@ func FuzzParseScenario(f *testing.F) {
 		}
 		if s.Hash() != s2.Hash() {
 			t.Fatalf("hash not stable across round trip")
+		}
+	})
+}
+
+// FuzzDecodeRecord checks the replay decoder's fast path against
+// encoding/json: on any line, both must fail or both must succeed with
+// the same record. The seeds are every line of the committed golden
+// recordings plus hand-picked shapes the fast path must hand to
+// encoding/json (escapes, nulls, differently cased and duplicate keys,
+// non-integer numbers in integer fields, trailing data).
+func FuzzDecodeRecord(f *testing.F) {
+	recordings, _ := filepath.Glob("../../testdata/recordings/*.rec.jsonl")
+	for _, path := range recordings {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, line := range bytes.Split(b, []byte("\n")) {
+			f.Add(line)
+		}
+	}
+	for _, line := range []string{
+		`{}`,
+		`{"round":{}}`,
+		`{"round":null}`,
+		`{"run":{"key":"IQ"}}`,
+		` { "round" : { "key" : "IQ" , "k" : 3 , "point" : { "joules" : 1e-3 } } } `,
+		`{"round":{"key":"IQ","answer":1}}`,
+		`{"round":{"Key":"IQ","ANSWER":2}}`,
+		`{"round":{"key":"IQ","key":"HBC","point":{"round":1},"point":{"span":2}}}`,
+		`{"round":{"answer":1.5}}`,
+		`{"round":{"answer":1e2}}`,
+		`{"round":{"answer":-0,"point":{"joules":-0}}}`,
+		`{"round":{"answer":01}}`,
+		`{"round":{"answer":99999999999999999999}}`,
+		`{"round":{"point":{"joules":1e999}}}`,
+		`{"round":{"point":{"heap_live_bytes":-9223372036854775808}}}`,
+		`{"round":{"point":{"bogus":1}}}`,
+		`{"round":{"k":null}}`,
+		`{"round":{"k":1}} x`,
+		`{"round":{"k":1},}`,
+		"{\"round\":{\"key\":\"caf\u00e9\"}}",
+		`{"round":{"key":"tab\tescape"}}`,
+	} {
+		f.Add([]byte(line))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		var dec recordDecoder
+		var fast, want fileRecord
+		errFast := dec.decode(line, &fast)
+		errWant := json.Unmarshal(line, &want)
+		if (errFast == nil) != (errWant == nil) {
+			t.Fatalf("decode error %v, encoding/json error %v on %q", errFast, errWant, line)
+		}
+		if errWant == nil && !reflect.DeepEqual(fast, want) {
+			t.Fatalf("decode %+v, encoding/json %+v on %q", fast.Round, want.Round, line)
 		}
 	})
 }

@@ -63,7 +63,7 @@ type fileRecord struct {
 // ReadHeader decodes and verifies just the header line of a recording —
 // the cheap integrity check tools use before committing to a replay.
 func ReadHeader(r io.Reader) (*Header, *Scenario, error) {
-	br := bufio.NewReaderSize(r, 64<<10)
+	br := bufio.NewReader(r)
 	line, err := br.ReadBytes('\n')
 	if err != nil && len(line) == 0 {
 		return nil, nil, fmt.Errorf("scenario: recording is empty: %w", err)
@@ -102,7 +102,7 @@ func ReadHeader(r io.Reader) (*Header, *Scenario, error) {
 // re-simulates), which is also why replay runs orders of magnitude
 // faster than live.
 func Replay(r io.Reader) (*Outcome, error) {
-	br := bufio.NewReaderSize(r, 64<<10)
+	br := bufio.NewReader(r)
 	_, s, err := ReadHeader(br)
 	if err != nil {
 		return nil, err
@@ -134,8 +134,9 @@ func Replay(r io.Reader) (*Outcome, error) {
 	ctls := newReplayControllers(s, budget)
 
 	out := &Outcome{Scenario: s, Replayed: true}
+	var dec recordDecoder
 	sc := bufio.NewScanner(br)
-	sc.Buffer(make([]byte, 64<<10), maxRecordBytes)
+	sc.Buffer(nil, maxRecordBytes)
 	lineNo := 1
 	for sc.Scan() {
 		lineNo++
@@ -144,7 +145,7 @@ func Replay(r io.Reader) (*Outcome, error) {
 			continue
 		}
 		var rec fileRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
+		if err := dec.decode(line, &rec); err != nil {
 			return nil, fmt.Errorf("scenario: recording line %d: %w", lineNo, err)
 		}
 		switch {
@@ -280,7 +281,7 @@ func ReplayWindow(r io.Reader, from, to int) (*Outcome, error) {
 	if from < 0 || to < from {
 		return nil, fmt.Errorf("scenario: replay window %d:%d is not a round range", from, to)
 	}
-	br := bufio.NewReaderSize(r, 64<<10)
+	br := bufio.NewReader(r)
 	_, s, err := ReadHeader(br)
 	if err != nil {
 		return nil, err
@@ -310,8 +311,9 @@ func ReplayWindow(r io.Reader, from, to int) (*Outcome, error) {
 	ctls := newReplayControllers(s, budget)
 
 	out := &Outcome{Scenario: s, Replayed: true}
+	var dec recordDecoder
 	sc := bufio.NewScanner(br)
-	sc.Buffer(make([]byte, 64<<10), maxRecordBytes)
+	sc.Buffer(nil, maxRecordBytes)
 	lineNo := 1
 	for sc.Scan() {
 		lineNo++
@@ -320,7 +322,7 @@ func ReplayWindow(r io.Reader, from, to int) (*Outcome, error) {
 			continue
 		}
 		var rec fileRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
+		if err := dec.decode(line, &rec); err != nil {
 			return nil, fmt.Errorf("scenario: recording line %d: %w", lineNo, err)
 		}
 		switch {

@@ -59,7 +59,7 @@ func (rt *Runtime) baselineConvergecast(merge func(node int, children []Payload)
 		}
 		parent := rt.top.Parent[u]
 		rt.baselineCharge(u, parent, p)
-		if rt.loss > 0 && rt.rng.Float64() < rt.loss {
+		if rt.dropHop() {
 			rt.stats.PayloadsLost++
 			continue
 		}

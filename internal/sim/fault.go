@@ -439,18 +439,14 @@ func (rt *Runtime) computeReach() {
 }
 
 // accountControl books wire-only control traffic (ACKs, join
-// handshakes, retransmitted frames) into the global and per-phase
-// stats without counting a logical payload.
+// handshakes, retransmitted frames) into the global stats and the
+// current phase's pending counts without counting a logical payload.
 func (rt *Runtime) accountControl(wire, frames int) {
 	rt.stats.FramesSent += frames
 	rt.stats.BitsSent += wire
-	if rt.stats.PerPhase == nil {
-		rt.stats.PerPhase = make(map[string]PhaseStats)
-	}
-	ps := rt.stats.PerPhase[rt.Phase()]
-	ps.Frames += frames
-	ps.Bits += wire
-	rt.stats.PerPhase[rt.Phase()] = ps
+	rt.pend.Frames += frames
+	rt.pend.Bits += wire
+	rt.pendDirty = true
 }
 
 // emitControlFrame traces one header-only control frame (a link-layer
@@ -484,7 +480,7 @@ func (rt *Runtime) hopWithFaults(u, parent int, p Payload) bool {
 		if f.inj.Down(parent) {
 			return false
 		}
-		if rt.loss > 0 && rt.rng.Float64() < rt.loss {
+		if rt.dropHop() {
 			rt.stats.PayloadsLost++
 			rt.stats.PayloadsLostUp++
 			if f.reach[u] {
@@ -536,7 +532,7 @@ func (rt *Runtime) hopWithFaults(u, parent int, p Payload) bool {
 			// round; recovery needs the cross-round timeout.
 			continue
 		}
-		if rt.loss > 0 && rt.rng.Float64() < rt.loss {
+		if rt.dropHop() {
 			continue
 		}
 		delivered = true
@@ -600,8 +596,11 @@ func (rt *Runtime) broadcastFaulty(p Payload, visit func(node int)) {
 	if rt.tr != nil {
 		rt.emitSend(-1, -1, trace.Broadcast, bits, wire, frames, vals)
 	}
-	n := rt.top.N()
-	got := make([]bool, n)
+	if rt.bcastGot == nil {
+		rt.bcastGot = make([]bool, rt.top.N())
+	}
+	got := rt.bcastGot
+	clear(got)
 	po := rt.top.PostOrder
 	for i := len(po) - 1; i >= 0; i-- {
 		u := po[i]
@@ -625,7 +624,7 @@ func (rt *Runtime) broadcastFaulty(p Payload, visit func(node int)) {
 		if ok && f != nil && rt.linkDown(u) {
 			ok = false
 		}
-		if ok && rt.lossBcast && rt.loss > 0 && rt.rng.Float64() < rt.loss {
+		if ok && rt.lossBcast && rt.dropHop() {
 			ok = false
 		}
 		if !ok {

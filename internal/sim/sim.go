@@ -116,11 +116,26 @@ type Runtime struct {
 	ledger *energy.Ledger
 	loss   float64
 	byDist bool
-	rng    *rand.Rand
+	seed   int64
+	rng    *rand.Rand // created by the first loss draw (see dropHop)
 
 	round     int
 	phase     string
 	stats     Stats
+	pend      PhaseStats // current label's traffic not yet in stats.PerPhase
+	pendDirty bool       // pend holds at least one booking
+
+	readings  []int // current round's measurements, filled by the first Reading
+	readOK    bool  // readings is valid for the current round
+	oracleBuf []int // Oracle's selection buffer
+
+	// The convergecast payload stack: delivered payloads in post-order,
+	// each with its addressee (-1 = root). See Convergecast.
+	stack   []Payload
+	stackTo []int
+
+	bcastGot []bool // broadcastFaulty's per-node reception flags
+
 	tr        trace.Collector // nil = flight recorder disabled
 	po        PhaseObserver   // nil = continuous profiling disabled
 	lossBcast bool
@@ -167,7 +182,7 @@ func New(cfg Config) (*Runtime, error) {
 		ledger:    energy.NewLedger(cfg.Topology.N(), cfg.Energy),
 		loss:      cfg.LossProb,
 		byDist:    cfg.ChargeByDistance,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		seed:      cfg.Seed,
 		lossBcast: cfg.LossBroadcast,
 	}
 	if cfg.Trace != nil {
@@ -206,17 +221,26 @@ func (rt *Runtime) Sizes() msg.Sizes { return rt.sizes }
 // Ledger returns the energy ledger.
 func (rt *Runtime) Ledger() *energy.Ledger { return rt.ledger }
 
-// Stats returns a snapshot of the traffic statistics. The PerPhase map
-// is shared; treat it as read-only.
-func (rt *Runtime) Stats() Stats { return rt.stats }
+// Stats returns a snapshot of the traffic statistics, including the
+// traffic booked so far under the current phase label. The PerPhase
+// map is shared and keeps changing as the runtime books later phases;
+// treat it as read-only, and call Stats again for fresher counts.
+func (rt *Runtime) Stats() Stats {
+	rt.flushPhase()
+	return rt.stats
+}
 
 // SetPhase labels all subsequent traffic with a protocol stage (one of
-// the Phase* constants, or any caller-chosen string). With a profiling
-// observer attached, an actual label change also closes the open
-// attribution span; redundant calls with the current label cost one
-// compare.
+// the Phase* constants, or any caller-chosen string). An actual label
+// change books the closing phase's traffic into Stats.PerPhase and,
+// with a profiling observer attached, closes the open attribution
+// span; redundant calls with the current label cost one compare.
 func (rt *Runtime) SetPhase(phase string) {
-	if rt.po != nil && phase != rt.phase {
+	if phase == rt.phase {
+		return
+	}
+	rt.flushPhase()
+	if rt.po != nil {
 		rt.po.Switch(phase)
 	}
 	rt.phase = phase
@@ -240,21 +264,53 @@ func (rt *Runtime) Phase() string {
 	return rt.phase
 }
 
-// account books one transmission into the global and per-phase stats.
+// account books one transmission into the global stats and the
+// current phase's pending per-phase counts.
 func (rt *Runtime) account(wire, frames, values int) {
 	rt.stats.FramesSent += frames
 	rt.stats.PayloadsSent++
 	rt.stats.BitsSent += wire
 	rt.stats.ValuesSent += values
+	rt.pend.Payloads++
+	rt.pend.Frames += frames
+	rt.pend.Bits += wire
+	rt.pend.Values += values
+	rt.pendDirty = true
+}
+
+// flushPhase adds the pending per-phase counts into Stats.PerPhase under
+// the current label. The map is thus written once per phase rather than
+// once per frame; SetPhase and Stats call it.
+func (rt *Runtime) flushPhase() {
+	if !rt.pendDirty {
+		return
+	}
 	if rt.stats.PerPhase == nil {
 		rt.stats.PerPhase = make(map[string]PhaseStats)
 	}
-	ps := rt.stats.PerPhase[rt.Phase()]
-	ps.Payloads++
-	ps.Frames += frames
-	ps.Bits += wire
-	ps.Values += values
-	rt.stats.PerPhase[rt.Phase()] = ps
+	label := rt.Phase()
+	ps := rt.stats.PerPhase[label]
+	ps.Payloads += rt.pend.Payloads
+	ps.Frames += rt.pend.Frames
+	ps.Bits += rt.pend.Bits
+	ps.Values += rt.pend.Values
+	rt.stats.PerPhase[label] = ps
+	rt.pend, rt.pendDirty = PhaseStats{}, false
+}
+
+// dropHop draws the iid loss sampler for one hop and reports whether
+// the hop is lost. The sampler's generator is seeded on the first draw,
+// so lossless runtimes never build one; the draw sequence is the same
+// as with an eagerly seeded generator.
+func (rt *Runtime) dropHop() bool { return rt.loss > 0 && rt.lossDraw() }
+
+// lossDraw is dropHop's draw, kept out of line so the lossless check
+// inlines.
+func (rt *Runtime) lossDraw() bool {
+	if rt.rng == nil {
+		rt.rng = rand.New(rand.NewSource(rt.seed))
+	}
+	return rt.rng.Float64() < rt.loss
 }
 
 // Round returns the current round number, starting at 0.
@@ -288,6 +344,7 @@ func (rt *Runtime) AdvanceRound() {
 		rt.tr.Collect(trace.Event{Kind: trace.KindRoundEnd, Round: rt.round, Node: -1})
 	}
 	rt.round++
+	rt.readOK = false
 	if rt.tr != nil {
 		rt.tr.Collect(trace.Event{Kind: trace.KindRoundStart, Round: rt.round, Node: -1})
 	}
@@ -358,8 +415,7 @@ func (rt *Runtime) TraceAdapt(action, arg int) {
 // reported value occupies in the true (oracle) data; 0 means exact.
 func (rt *Runtime) RankErrorOf(k, reported int) int {
 	below, equal := 0, 0
-	for i := 0; i < rt.N(); i++ {
-		v := rt.Reading(i)
+	for _, v := range rt.currentReadings() {
 		if v < reported {
 			below++
 		} else if v == reported {
@@ -393,10 +449,34 @@ func (rt *Runtime) TraceRefine(lo, hi, f int) {
 	})
 }
 
-// Reading returns node's measurement for the current round.
-func (rt *Runtime) Reading(node int) int { return rt.src.Value(node, rt.round) }
+// Reading returns node's measurement for the current round. The first
+// call of a round reads every node's measurement from the source into
+// a runtime-owned cache; later calls in the same round are a slice
+// index. AdvanceRound invalidates the cache.
+func (rt *Runtime) Reading(node int) int { return rt.currentReadings()[node] }
 
-// ReadingAt returns node's measurement at an explicit round.
+// currentReadings returns the cached measurements of the current round.
+// The slice is runtime-owned: callers must not modify or keep it.
+func (rt *Runtime) currentReadings() []int {
+	if !rt.readOK {
+		rt.fillReadings()
+	}
+	return rt.readings
+}
+
+// fillReadings reads the current round's measurements from the source.
+func (rt *Runtime) fillReadings() {
+	if rt.readings == nil {
+		rt.readings = make([]int, rt.N())
+	}
+	for i := range rt.readings {
+		rt.readings[i] = rt.src.Value(i, rt.round)
+	}
+	rt.readOK = true
+}
+
+// ReadingAt returns node's measurement at an explicit round. It reads
+// the source directly and never touches the current round's cache.
 func (rt *Runtime) ReadingAt(node, round int) int { return rt.src.Value(node, round) }
 
 // Universe returns the closed integer range of possible measurements.
@@ -406,11 +486,8 @@ func (rt *Runtime) Universe() (lo, hi int) { return rt.src.Universe() }
 // round's measurements, computed centrally with no energy cost. It is
 // the ground truth the protocols are verified against.
 func (rt *Runtime) Oracle(k int) int {
-	vs := make([]int, rt.N())
-	for i := range vs {
-		vs[i] = rt.Reading(i)
-	}
-	return mathx.KthSmallest(vs, k)
+	rt.oracleBuf = append(rt.oracleBuf[:0], rt.currentReadings()...)
+	return mathx.KthSmallestInPlace(rt.oracleBuf, k)
 }
 
 // charge accounts one hop: sender pays framing-inclusive transmission,
@@ -455,21 +532,41 @@ func (rt *Runtime) emitSend(sender, receiver int, cast trace.Cast, bits, wire, f
 
 // Convergecast runs one bottom-up phase. merge is invoked for every
 // sensor in post-order with the payloads that actually arrived from its
-// children; a nil return means the node stays silent (no transmission,
-// no energy). The payloads that reach the root are returned.
+// children, in the order the children transmitted; a nil return means
+// the node stays silent (no transmission, no energy). The payloads that
+// reach the root are returned.
+//
+// Memory contract: children is a view of the runtime's payload stack
+// and is valid only during the merge call. merge may return one of its
+// children's payloads (recycling it as the node's accumulator) but must
+// not keep the slice. The returned slice is runtime-owned and valid
+// until the next Convergecast; a caller that has consumed it should
+// clear it, so the runtime does not pin the root payloads until then.
+//
+// The stack works because PostOrder is a depth-first post-order and the
+// tree only changes between rounds: when node u is merged, the payloads
+// its children delivered are exactly the top stack entries addressed
+// to u. Whatever remains at the end is addressed to the root.
 func (rt *Runtime) Convergecast(merge func(node int, children []Payload) Payload) []Payload {
 	rt.stats.Convergecasts++
-	inbox := make([][]Payload, rt.N())
-	var atRoot []Payload
+	stack, to := rt.stack[:0], rt.stackTo[:0]
 	for _, u := range rt.top.PostOrder {
-		if rt.flt != nil && rt.crashedNode(u) {
-			// A crashed sensor neither merges nor transmits; whatever
-			// its subtree delivered dies with it.
-			inbox[u] = nil
-			continue
+		top := len(stack)
+		for top > 0 && to[top-1] == u {
+			top--
 		}
-		p := merge(u, inbox[u])
-		inbox[u] = nil
+		var p Payload
+		// A crashed sensor neither merges nor transmits; whatever its
+		// subtree delivered dies with it.
+		if rt.flt == nil || !rt.crashedNode(u) {
+			var children []Payload
+			if top < len(stack) {
+				children = stack[top:]
+			}
+			p = merge(u, children)
+		}
+		clear(stack[top:])
+		stack, to = stack[:top], to[:top]
 		if p == nil {
 			continue
 		}
@@ -478,11 +575,7 @@ func (rt *Runtime) Convergecast(merge func(node int, children []Payload) Payload
 			// Fault-aware delivery: per-attempt charging, ARQ, and
 			// dead-link bookkeeping live in hopWithFaults.
 			if rt.hopWithFaults(u, parent, p) {
-				if parent == -1 {
-					atRoot = append(atRoot, p)
-				} else {
-					inbox[parent] = append(inbox[parent], p)
-				}
+				stack, to = append(stack, p), append(to, parent)
 			}
 			continue
 		}
@@ -490,7 +583,7 @@ func (rt *Runtime) Convergecast(merge func(node int, children []Payload) Payload
 		// Intra-node hops from virtual senders never touch the radio, so
 		// they leave no send/receive/drop events.
 		radio := rt.tr != nil && !rt.top.IsVirtual(u)
-		if rt.loss > 0 && rt.rng.Float64() < rt.loss {
+		if rt.dropHop() {
 			rt.stats.PayloadsLost++
 			rt.stats.PayloadsLostUp++
 			if radio {
@@ -509,13 +602,10 @@ func (rt *Runtime) Convergecast(merge func(node int, children []Payload) Payload
 				Bits: p.Bits(), Wire: rt.sizes.WireBits(p.Bits()),
 			})
 		}
-		if parent == -1 {
-			atRoot = append(atRoot, p)
-		} else {
-			inbox[parent] = append(inbox[parent], p)
-		}
+		stack, to = append(stack, p), append(to, parent)
 	}
-	return atRoot
+	rt.stack, rt.stackTo = stack, to
+	return stack
 }
 
 // Broadcast floods p from the root to every sensor: the root transmits
