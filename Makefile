@@ -16,7 +16,7 @@ help:
 	@echo "  check       the merge gate: vet + staticcheck + race + allocs + oracle + telemetry + alert + prof + chaos + serve + scenario + slo + adapt + fuzz-smoke"
 	@echo "  vet         static analysis"
 	@echo "  race        full suite under the race detector"
-	@echo "  allocs      round-path memory contract: zero-alloc convergecast, no loss"
+	@echo "  allocs      round-path memory contract: zero-alloc convergecast and broadcast, no loss"
 	@echo "              sampler on lossless runtimes, no recycled buffer in results"
 	@echo "  oracle      flight-recorder collectors + invariant oracle suite"
 	@echo "  telemetry   registry race test and snapshot-determinism test under -race"
@@ -62,13 +62,14 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# allocs gates the round path's memory contract (DESIGN.md §4l): a warm
-# convergecast with a non-allocating merge allocates nothing, a
+# allocs gates the round path's memory contract (DESIGN.md §4l, §4m): a
+# warm convergecast with a non-allocating merge and a broadcast over a
+# built flood plan allocate nothing, a
 # lossless runtime never builds its loss sampler, and what the
 # collectors return survives the payload recycling of later
 # convergecasts on the same runtime.
 allocs:
-	$(GO) test -count=1 -run '^(TestConvergecastAllocFree|TestLosslessRuntimeHasNoRNG)$$' -v ./internal/sim/
+	$(GO) test -count=1 -run '^(TestConvergecastAllocFree|TestBroadcastAllocFree|TestLosslessRuntimeHasNoRNG)$$' -v ./internal/sim/
 	$(GO) test -count=1 -run '^TestCollectorResultsSurviveRecycling$$' -v ./internal/protocol/
 
 # oracle runs the flight-recorder suite: collectors, the invariant
@@ -179,6 +180,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReassembleRobust$$' -fuzztime $(FUZZTIME) ./internal/msg/
 	$(GO) test -run '^$$' -fuzz '^FuzzHistogramCodec$$' -fuzztime $(FUZZTIME) ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz '^FuzzBucketsIndex$$' -fuzztime $(FUZZTIME) ./internal/protocol/
+	$(GO) test -run '^$$' -fuzz '^FuzzSmallestKMerge$$' -fuzztime $(FUZZTIME) ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime $(FUZZTIME) ./internal/fault/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseScenario$$' -fuzztime $(FUZZTIME) ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME) ./internal/scenario/
@@ -221,8 +223,10 @@ bench:
 	$(GO) test -bench . -benchmem .
 
 # bench-json appends one session to the perf trajectory: commit the
-# produced BENCH_<date>.json and TestBenchRegressionGuard will diff it
-# against the previous session.
+# produced BENCH_<date>.json (BENCH_<date>b.json, c, … when the day
+# already has one) and TestBenchRegressionGuard will diff it against
+# the previous session. Allocation ceilings never rise above the
+# previous session's.
 bench-json: build
 	$(GO) run ./cmd/wsnq-bench -json
 

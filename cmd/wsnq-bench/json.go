@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -61,7 +62,7 @@ func runBenchJSON(out string, reps int) error {
 		GOARCH:    runtime.GOARCH,
 	}
 	if out == "" {
-		out = benchfmt.Filename(time.Now())
+		out = benchfmt.FreeFilename(".", time.Now())
 	}
 
 	// The per-round protocol hot paths, mirroring bench_test.go's
@@ -290,15 +291,18 @@ func runBenchJSON(out string, reps int) error {
 		AllocsPerOp: res.AllocsPerOp(),
 	})
 
-	// Schema 2: stamp every sample with its allocation budget — the
-	// measured allocs/op plus 10%, rounded up, so a count of 1 still
-	// gets headroom of 1. Allocations are deterministic per op, which
-	// is what lets the regression guard enforce these as hard ceilings
+	// Schema 2: stamp every sample with its allocation budget
+	// (benchfmt.Ceiling), capped by the previous session's so budgets
+	// only ratchet down. Allocations are deterministic per op, which is
+	// what lets the regression guard enforce these as hard ceilings
 	// where ns/op only supports a relative threshold.
+	prev, err := previousSession(out)
+	if err != nil {
+		return err
+	}
 	for i := range f.Results {
-		if a := f.Results[i].AllocsPerOp; a > 0 {
-			f.Results[i].AllocsCeiling = a + (a+9)/10
-		}
+		p, _ := prev.Result(f.Results[i].Name)
+		f.Results[i].AllocsCeiling = benchfmt.Ceiling(f.Results[i].AllocsPerOp, p.AllocsCeiling)
 	}
 
 	if err := benchfmt.WriteFile(out, f); err != nil {
@@ -306,4 +310,20 @@ func runBenchJSON(out string, reps int) error {
 	}
 	fmt.Fprintf(os.Stderr, "wsnq-bench: wrote %s (%d results)\n", out, len(f.Results))
 	return nil
+}
+
+// previousSession returns the newest BENCH session next to out, out
+// itself excluded (re-recording a day's session ratchets against the
+// one before it); an empty File when there is none.
+func previousSession(out string) (benchfmt.File, error) {
+	files, err := benchfmt.List(filepath.Dir(out))
+	if err != nil {
+		return benchfmt.File{}, err
+	}
+	for i := len(files) - 1; i >= 0; i-- {
+		if filepath.Clean(files[i]) != filepath.Clean(out) {
+			return benchfmt.ReadFile(files[i])
+		}
+	}
+	return benchfmt.File{}, nil
 }

@@ -15,15 +15,16 @@ import (
 
 // The layer benchmarks time one layer of the round path each, below the
 // protocols, so every layer gets its own trajectory and allocation
-// ceiling in the BENCH sessions: the radio core (one convergecast over
-// the default 500-node deployment), the energy ledger (one send and one
-// receive charge), and the histogram codec (one encode and decode of a
-// full-frame histogram).
+// ceiling in the BENCH sessions: the radio core (one convergecast and
+// one broadcast over the default 500-node deployment), the energy
+// ledger (one send and one receive charge), and the histogram codec
+// (one encode and decode of a full-frame histogram).
 var layerBenches = []struct {
 	name string
 	fn   func(b *testing.B)
 }{
 	{"Convergecast", benchConvergecast},
+	{"Broadcast", benchBroadcast},
 	{"LedgerCharge", benchLedgerCharge},
 	{"HistogramCodec", benchHistogramCodec},
 }
@@ -40,6 +41,29 @@ func (a *aggregate) Bits() int { return 64 }
 // radio core's own cost: the payload stack, the charges, the accounting
 // and the reading cache.
 func benchConvergecast(b *testing.B) {
+	rt := layerRuntime(b)
+	rt.SetPhase(sim.PhaseValidation)
+	payloads := make([]aggregate, rt.N())
+	merge := func(n int, children []sim.Payload) sim.Payload {
+		p := &payloads[n]
+		p.values = rt.Reading(n) & 1
+		for _, c := range children {
+			p.values += c.(*aggregate).values
+		}
+		return p
+	}
+	rt.Convergecast(merge)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rt.Convergecast(merge)
+	}
+}
+
+// layerRuntime builds a lossless runtime over the default-cell
+// deployment (|N| = 500, 200 m square, 35 m range) with constant
+// readings.
+func layerRuntime(b *testing.B) *sim.Runtime {
 	cfg := wsnq.DefaultConfig()
 	top, err := wsn.BuildConnectedTree(cfg.Nodes, cfg.Area, cfg.RadioRange, rand.New(rand.NewSource(1)), 50)
 	if err != nil {
@@ -57,21 +81,21 @@ func benchConvergecast(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rt.SetPhase(sim.PhaseValidation)
-	payloads := make([]aggregate, top.N())
-	merge := func(n int, children []sim.Payload) sim.Payload {
-		p := &payloads[n]
-		p.values = rt.Reading(n) & 1
-		for _, c := range children {
-			p.values += c.(*aggregate).values
-		}
-		return p
-	}
-	rt.Convergecast(merge)
+	return rt
+}
+
+// benchBroadcast times one untraced Broadcast of a refinement request
+// over the default-cell deployment once its flood plan is built: the
+// flood's energy charges and its traffic accounting.
+func benchBroadcast(b *testing.B) {
+	rt := layerRuntime(b)
+	rt.SetPhase(sim.PhaseRefinement)
+	var req sim.Payload = protocol.Request{NBits: protocol.IntervalRequestBits(rt.Sizes())}
+	rt.Broadcast(req, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt.Convergecast(merge)
+		rt.Broadcast(req, nil)
 	}
 }
 

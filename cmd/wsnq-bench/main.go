@@ -52,7 +52,7 @@ func main() {
 		alertSpec = flag.String("alert", "", cli.AlertRulesUsage+" (forces sequential runs)")
 		faultSpec = flag.String("fault", "", cli.FaultPlanUsage)
 		jsonBench = flag.Bool("json", false, "continuous-benchmarking mode: measure the tracked hot paths and write a BENCH_<date>.json")
-		jsonOut   = flag.String("out", "", "with -json: output file (default BENCH_<today>.json)")
+		jsonOut   = flag.String("out", "", "with -json: output file (default BENCH_<today>.json, or BENCH_<today>b.json, c, … when taken)")
 		jsonReps  = flag.Int("reps", 3, "with -json: repetitions per hot path; the fastest is recorded, filtering scheduler noise")
 		diffBench = flag.Bool("diff", false, "diff two BENCH_*.json sessions (wsnq-bench -diff OLD.json NEW.json) and exit")
 		profAttr  = flag.Bool("prof", false, "attribute CPU time and allocations to algorithm×phase buckets and print the table after the sweep (forces sequential runs)")

@@ -36,10 +36,17 @@ type LCLL struct {
 	cover  spanRange
 	hasWin bool
 
-	// Validation payloads recycled across rounds, and the merge buffer
-	// their sorted delta lists swap with (see mergeDeltas).
+	// Validation payloads recycled across rounds (see newDeltas), and
+	// the merge buffer their sorted delta lists swap with (see
+	// mergeDeltas).
+	deltas     protocol.Arena[cellDeltas]
 	freeDeltas []*cellDeltas
 	mergeBuf   []cellDelta
+
+	// Per-slide buffers: the window's cell boundaries and the counts
+	// collected for them, both copied into the partition by Replace.
+	slideBounds []int
+	cellCounts  []int
 }
 
 // spanRange is a half-open refined region.
@@ -123,8 +130,7 @@ func (l *LCLL) Init(rt *sim.Runtime, k int) (int, error) {
 	l.path, l.hasWin = nil, false
 
 	rt.Broadcast(protocol.Request{NBits: rt.Sizes().CounterBits}, nil)
-	counts := collectCellCounts(rt, l.part.bounds)
-	copy(l.part.counts, counts)
+	copy(l.part.counts, l.collectCellCounts(rt, l.part.bounds))
 
 	l.prev = make([]int, l.n)
 	l.snapshotPrev(rt)
@@ -146,12 +152,13 @@ func (l *LCLL) Step(rt *sim.Runtime) (int, error) {
 // validate runs the improved delta validation: a node whose value
 // slipped to another cell reports (oldCell, -1) and (newCell, +1);
 // deltas aggregate by addition and cancel out in-network. A node with
-// children merges into its first child's payload; merged-away and
-// root-delivered payloads return to the instance's free list for the
-// next leaves and rounds.
+// children merges into its first child's payload; merged-away payloads
+// serve the next leaves.
 func (l *LCLL) validate(rt *sim.Runtime) {
 	sizes := rt.Sizes()
 	part := l.part
+	l.deltas.Reset()
+	l.freeDeltas = l.freeDeltas[:0]
 	atRoot := rt.Convergecast(func(n int, children []sim.Payload) sim.Payload {
 		oldC, ok1 := part.CellOf(l.prev[n])
 		newC, ok2 := part.CellOf(rt.Reading(n))
@@ -184,11 +191,9 @@ func (l *LCLL) validate(rt *sim.Runtime) {
 		return d
 	})
 	for _, p := range atRoot {
-		d := p.(*cellDeltas)
-		for _, e := range d.ent {
+		for _, e := range p.(*cellDeltas).ent {
 			part.AddDelta(e.cell, e.dv)
 		}
-		l.freeDeltas = append(l.freeDeltas, d)
 	}
 	clear(atRoot)
 }
@@ -252,7 +257,7 @@ func (l *LCLL) refineHierarchical(rt *sim.Runtime) (int, error) {
 		}
 		nb := EqualBounds(cLo, cHi, b)
 		rt.Broadcast(protocol.Request{NBits: protocol.IntervalRequestBits(rt.Sizes())}, nil)
-		counts := collectCellCounts(rt, nb)
+		counts := l.collectCellCounts(rt, nb)
 		if err := l.part.Replace(cLo, cHi, nb, counts); err != nil {
 			return 0, err
 		}
@@ -281,8 +286,11 @@ func (l *LCLL) directCell(rt *sim.Runtime, cLo, cHi, below int) (int, error) {
 		return 0, fmt.Errorf("baseline: LCLL direct retrieval rank %d of %d values in [%d,%d)", localRank, len(vals), cLo, cHi)
 	}
 	q := vals[localRank-1]
-	// Splice [cLo,q) | [q,q+1) | [q+1,cHi) with exact counts.
-	bounds := []int{cLo}
+	// Splice [cLo,q) | [q,q+1) | [q+1,cHi) with exact counts; Replace
+	// copies both lists, so they live on the stack.
+	var bb [4]int
+	var cc [3]int
+	bounds := append(bb[:0], cLo)
 	if q > cLo {
 		bounds = append(bounds, q)
 	}
@@ -290,7 +298,7 @@ func (l *LCLL) directCell(rt *sim.Runtime, cLo, cHi, below int) (int, error) {
 	if q+1 < cHi {
 		bounds = append(bounds, cHi)
 	}
-	counts := make([]int, len(bounds)-1)
+	counts := cc[:len(bounds)-1]
 	for _, v := range vals {
 		for i := 0; i+1 < len(bounds); i++ {
 			if v >= bounds[i] && v < bounds[i+1] {
@@ -364,8 +372,7 @@ func (l *LCLL) slideTo(rt *sim.Runtime, win spanRange) error {
 		l.hasWin = false
 	}
 	cover := l.coveringTopRange(win)
-	bounds := make([]int, 1, win.Hi-win.Lo+3)
-	bounds[0] = cover.Lo
+	bounds := append(l.slideBounds[:0], cover.Lo)
 	for x := win.Lo; x <= win.Hi; x++ {
 		if x > cover.Lo && x < cover.Hi {
 			bounds = append(bounds, x)
@@ -374,8 +381,9 @@ func (l *LCLL) slideTo(rt *sim.Runtime, win spanRange) error {
 	if bounds[len(bounds)-1] != cover.Hi {
 		bounds = append(bounds, cover.Hi)
 	}
+	l.slideBounds = bounds
 	rt.Broadcast(protocol.Request{NBits: protocol.IntervalRequestBits(rt.Sizes())}, nil)
-	counts := collectCellCounts(rt, bounds)
+	counts := l.collectCellCounts(rt, bounds)
 	if err := l.part.Replace(cover.Lo, cover.Hi, bounds, counts); err != nil {
 		return err
 	}
@@ -432,16 +440,19 @@ type cellDeltas struct {
 // cellDelta is one (cell, signed count) pair.
 type cellDelta struct{ cell, dv int }
 
-// newDeltas returns an empty validation payload, recycled when one is
-// free.
+// newDeltas returns an empty validation payload: one merged away
+// earlier in this call, or the next of the instance's arena, which
+// takes back every payload of the previous call (lost ones included).
 func (l *LCLL) newDeltas(s msg.Sizes) *cellDeltas {
+	var d *cellDeltas
 	if n := len(l.freeDeltas); n > 0 {
-		d := l.freeDeltas[n-1]
+		d = l.freeDeltas[n-1]
 		l.freeDeltas = l.freeDeltas[:n-1]
-		d.ent, d.sizes = d.ent[:0], s
-		return d
+	} else {
+		d = l.deltas.Next()
 	}
-	return &cellDeltas{sizes: s}
+	d.ent, d.sizes = d.ent[:0], s
+	return d
 }
 
 // mergeDeltas adds the sorted pairs add into d, dropping cells whose
@@ -481,13 +492,15 @@ func (d *cellDeltas) Bits() int {
 // collectCellCounts gathers the exact per-cell counts for the cell list
 // given by bounds: only nodes with a measurement inside
 // [bounds[0], bounds[last]) respond, and histograms aggregate by
-// addition and travel compressed.
-func collectCellCounts(rt *sim.Runtime, bounds []int) []int {
+// addition and travel compressed. The counts are valid until the next
+// call.
+func (l *LCLL) collectCellCounts(rt *sim.Runtime, bounds []int) []int {
 	lo, hi := bounds[0], bounds[len(bounds)-1]
-	return protocol.CollectCounts(rt, len(bounds)-1, func(v int) (int, bool) {
+	l.cellCounts = protocol.CollectCounts(rt, l.cellCounts, len(bounds)-1, lo, hi-1, func(v int) (int, bool) {
 		if v < lo || v >= hi {
 			return 0, false
 		}
 		return sort.SearchInts(bounds, v+1) - 1, true
 	})
+	return l.cellCounts
 }

@@ -6,6 +6,7 @@ package baseline
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -122,14 +123,11 @@ func (p *Partition) Replace(lo, hi int, innerBounds []int, counts []int) error {
 	if counts == nil {
 		counts = make([]int, len(innerBounds)-1)
 	}
-	cells := i + len(counts) + len(p.counts) - j
-	newBounds := append(make([]int, 0, cells+1), p.bounds[:i]...)
-	newBounds = append(newBounds, innerBounds[:len(innerBounds)-1]...)
-	newBounds = append(newBounds, p.bounds[j:]...)
-	newCounts := append(make([]int, 0, cells), p.counts[:i]...)
-	newCounts = append(newCounts, counts...)
-	newCounts = append(newCounts, p.counts[j:]...)
-	p.bounds, p.counts = newBounds, newCounts
+	// In place: the lists only reallocate when they outgrow their
+	// capacity, so a refinement that zooms and slides back and forth
+	// stops allocating. innerBounds and counts are only read.
+	p.bounds = slices.Replace(p.bounds, i, j, innerBounds[:len(innerBounds)-1]...)
+	p.counts = slices.Replace(p.counts, i, j, counts...)
 	return nil
 }
 
@@ -144,7 +142,11 @@ func (p *Partition) Merge(lo, hi int) error {
 	for c := i; c < j; c++ {
 		sum += p.counts[c]
 	}
-	return p.Replace(lo, hi, []int{lo, hi}, []int{sum})
+	// Cells i..j-1 become cell i, in place.
+	p.counts[i] = sum
+	p.bounds = slices.Delete(p.bounds, i+1, j)
+	p.counts = slices.Delete(p.counts, i+1, j)
+	return nil
 }
 
 // InnerBounds lists the boundaries of the cells covering [lo, hi),

@@ -13,7 +13,8 @@ import (
 // forwarded and the root picks the k-th. Exact, O(k) values per node
 // per round, no state between rounds.
 type TAG struct {
-	k int
+	k   int
+	col protocol.SmallestK // collection buffers, recycled across rounds
 }
 
 // NewTAG returns a fresh TAG instance.
@@ -45,7 +46,7 @@ func (t *TAG) Step(rt *sim.Runtime) (int, error) {
 }
 
 func (t *TAG) collect(rt *sim.Runtime) (int, error) {
-	vals := protocol.CollectSmallestK(rt, t.k)
+	vals := t.col.Collect(rt, t.k)
 	if len(vals) < t.k {
 		if len(vals) == 0 {
 			return 0, fmt.Errorf("baseline: TAG received no values (loss?)")

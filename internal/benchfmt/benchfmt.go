@@ -17,6 +17,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -76,8 +77,8 @@ type Result struct {
 // every POST /queries pays), and the serve layer's per-round SLO
 // evaluation (what every query with objectives pays on top of its
 // protocol round), plus the layers under every round: one convergecast
-// of the radio core, one ledger charge pair, and one histogram codec
-// round trip. A >15% slowdown of any of them fails the guard;
+// and one broadcast of the radio core, one ledger charge pair, and one
+// histogram codec round trip. A >15% slowdown of any of them fails the guard;
 // benchmarks absent from either session are skipped, so old files
 // without the newer paths still diff cleanly.
 func TrackedHotPaths() []string {
@@ -87,7 +88,7 @@ func TrackedHotPaths() []string {
 		"RoundIQAdapt",
 		"ServeRegisterQuery",
 		"ServeSLOEval",
-		"Convergecast", "LedgerCharge", "HistogramCodec",
+		"Convergecast", "Broadcast", "LedgerCharge", "HistogramCodec",
 	}
 }
 
@@ -95,6 +96,21 @@ func TrackedHotPaths() []string {
 // day, e.g. "BENCH_2026-08-05.json".
 func Filename(t time.Time) string {
 	return FilePrefix + t.Format("2006-01-02") + FileSuffix
+}
+
+// FreeFilename returns the name for a new session on the given day in
+// dir: Filename's, or, when a session of that day already exists, the
+// same name with the first free suffix b, c, … — which sorts after it,
+// so the sessions stay in chronological order and none is overwritten.
+func FreeFilename(dir string, t time.Time) string {
+	name := Filename(t)
+	base := strings.TrimSuffix(name, FileSuffix)
+	for c := 'b'; ; c++ {
+		if _, err := os.Stat(filepath.Join(dir, name)); os.IsNotExist(err) || c > 'z' {
+			return filepath.Join(dir, name)
+		}
+		name = base + string(c) + FileSuffix
+	}
 }
 
 // Result returns the sample of one benchmark by name.
@@ -247,6 +263,24 @@ func AllocRegressions(old, new File, tracked []string, threshold float64) []Allo
 		}
 	}
 	return out
+}
+
+// Ceiling returns the allocation budget a session records for a path
+// measured at allocs allocs/op: the measurement plus 10%, rounded up,
+// so a count of 1 still gets headroom of 1. prev is the ceiling the
+// previous session recorded for the path (0: none). Ceilings only
+// ratchet down: the budget never exceeds prev unless the measurement
+// itself does — a regression the guard then reports. Paths measured at
+// zero get no explicit budget; the guard holds them at zero.
+func Ceiling(allocs, prev int64) int64 {
+	if allocs <= 0 {
+		return 0
+	}
+	c := allocs + (allocs+9)/10
+	if prev > 0 && c > prev {
+		c = max(prev, allocs)
+	}
+	return c
 }
 
 // Uniform-shift detection bounds: a session counts as uniformly

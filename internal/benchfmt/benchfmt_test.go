@@ -3,6 +3,7 @@ package benchfmt
 import (
 	"bytes"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -283,5 +284,55 @@ func TestRegressions(t *testing.T) {
 	}
 	if regs := Regressions(File{}, cur, TrackedHotPaths(), 0.15); len(regs) != 0 {
 		t.Errorf("missing baseline flagged: %v", regs)
+	}
+}
+
+// TestCeilingRatchets pins the allocation budgets a session records:
+// the measurement plus 10% rounded up, never above the previous
+// session's budget unless the measurement itself is, and none for a
+// path measured at zero.
+func TestCeilingRatchets(t *testing.T) {
+	for _, c := range []struct{ allocs, prev, want int64 }{
+		{0, 0, 0},
+		{0, 5, 0},
+		{1, 0, 2},
+		{26, 0, 29},
+		{29, 31, 31}, // 29+3 = 32 would raise the previous budget
+		{28, 31, 31},
+		{20, 31, 22},
+		{33, 31, 33}, // a regression keeps its own count; the guard reports it
+	} {
+		if got := Ceiling(c.allocs, c.prev); got != c.want {
+			t.Errorf("Ceiling(%d, %d) = %d, want %d", c.allocs, c.prev, got, c.want)
+		}
+	}
+}
+
+// TestFreeFilenameNeverOverwrites checks that a second and third
+// session on one day get the suffixes b and c, which sort after the
+// day's first session.
+func TestFreeFilenameNeverOverwrites(t *testing.T) {
+	dir := t.TempDir()
+	day := time.Date(2026, 10, 17, 9, 0, 0, 0, time.UTC)
+	var got []string
+	for i := 0; i < 3; i++ {
+		name := FreeFilename(dir, day)
+		if err := WriteFile(name, File{Date: "2026-10-17", Results: []Result{{Name: "X"}}}); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, filepath.Base(name))
+	}
+	want := []string{"BENCH_2026-10-17.json", "BENCH_2026-10-17b.json", "BENCH_2026-10-17c.json"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("session names %v, want %v", got, want)
+	}
+	listed, err := List(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range listed {
+		if filepath.Base(p) != want[i] {
+			t.Fatalf("List order %v, want %v", listed, want)
+		}
 	}
 }

@@ -35,6 +35,7 @@ type HBC struct {
 	lb, ub int // the filter interval nodes validate against
 	state  protocol.LEG
 	prev   []int
+	hist   protocol.Counts // refinement histograms, recycled across rounds
 }
 
 // HBCOptions tunes the §4.1 variants.
@@ -211,7 +212,7 @@ func (h *HBC) descend(rt *sim.Runtime, lo, hi, base int) (q, flb, fub int, st pr
 			return 0, 0, 0, st, buErr
 		}
 		rt.Broadcast(protocol.Request{NBits: protocol.IntervalRequestBits(rt.Sizes())}, nil)
-		counts := protocol.CollectHistogram(rt, bu)
+		counts := h.hist.Histogram(rt, bu)
 		if base < 0 {
 			total := 0
 			for _, c := range counts {

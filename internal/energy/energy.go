@@ -140,16 +140,28 @@ func (l *Ledger) ChargeSend(node, bits int, rho float64) {
 	}
 	c := 0.0
 	if bits > 0 {
-		if !l.hasCoef || rho != l.coefRho {
-			l.coef, l.coefRho, l.hasCoef = l.params.sendCoef(rho), rho, true
-		}
-		c = l.coef * float64(bits)
+		c = l.coefFor(rho) * float64(bits)
 	}
 	l.spent[node] += c
 	l.round[node] += c
 	if l.tr != nil {
 		l.debit(node, bits, c, trace.EnergySend)
 	}
+}
+
+// coefFor returns the send coefficient of rho, cached for the last
+// range.
+func (l *Ledger) coefFor(rho float64) float64 {
+	if !l.hasCoef || rho != l.coefRho {
+		l.setCoef(rho)
+	}
+	return l.coef
+}
+
+// setCoef caches the send coefficient of rho; kept out of line so that
+// coefFor inlines.
+func (l *Ledger) setCoef(rho float64) {
+	l.coef, l.coefRho, l.hasCoef = l.params.sendCoef(rho), rho, true
 }
 
 // ChargeRecv charges node its cost for receiving bits.
@@ -163,6 +175,34 @@ func (l *Ledger) ChargeRecv(node, bits int) {
 	l.round[node] += c
 	if l.tr != nil {
 		l.debit(node, bits, c, trace.EnergyRecv)
+	}
+}
+
+// ChargeFlood charges one broadcast flood of bits: every node of recv
+// its reception, then every relays[i] its retransmission over rho[i].
+// A node's reception is booked before its own send, as a top-down loop
+// of ChargeRecv and ChargeSend calls books them, and nodes never share
+// a sum, so the per-node totals are bit-identical to that loop. Traced
+// debit events come receptions first, then sends.
+func (l *Ledger) ChargeFlood(recv, relays []int, rho []float64, bits int) {
+	r := l.params.RecvCost(bits)
+	for _, u := range recv {
+		l.spent[u] += r
+		l.round[u] += r
+		if l.tr != nil {
+			l.debit(u, bits, r, trace.EnergyRecv)
+		}
+	}
+	for i, u := range relays {
+		c := 0.0
+		if bits > 0 {
+			c = l.coefFor(rho[i]) * float64(bits)
+		}
+		l.spent[u] += c
+		l.round[u] += c
+		if l.tr != nil {
+			l.debit(u, bits, c, trace.EnergySend)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package energy
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -139,5 +140,50 @@ func TestLedgerConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestChargeFloodMatchesChargeLoop pins ChargeFlood to the top-down
+// loop it replaces — per node, ChargeRecv, then ChargeSend if the node
+// relays — bit for bit on both the cumulative and the per-round sums,
+// across repeated floods with distinct relay ranges and a round end.
+func TestChargeFloodMatchesChargeLoop(t *testing.T) {
+	const n = 9
+	recv := []int{4, 0, 7, 2, 8, 1, 5} // top-down; 3 and 6 never hear it
+	relays := []int{4, 0, 2}           // top-down subsequence of recv
+	rho := []float64{35, 12.25, 1e-3}  // per relay
+	relayRho := map[int]float64{4: 35, 0: 12.25, 2: 1e-3}
+	flood, loop := NewLedger(n, DefaultParams()), NewLedger(n, DefaultParams())
+	same := func(when string) {
+		t.Helper()
+		for u := 0; u < n; u++ {
+			if a, b := math.Float64bits(flood.spent[u]), math.Float64bits(loop.spent[u]); a != b {
+				t.Fatalf("%s: node %d spent %v (flood) != %v (loop)", when, u, flood.spent[u], loop.spent[u])
+			}
+			if a, b := math.Float64bits(flood.round[u]), math.Float64bits(loop.round[u]); a != b {
+				t.Fatalf("%s: node %d round %v (flood) != %v (loop)", when, u, flood.round[u], loop.round[u])
+			}
+		}
+	}
+	for i, bits := range []int{136, 0, 1048, 136, 77} {
+		if i == 3 {
+			if a, b := flood.EndRound(), loop.EndRound(); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("EndRound %v (flood) != %v (loop)", a, b)
+			}
+		}
+		// Interleave unicast traffic so the sums do not start from zero
+		// and the cached send coefficient changes between floods.
+		for _, l := range []*Ledger{flood, loop} {
+			l.ChargeSend(3, 200+bits, 20)
+			l.ChargeRecv(4, 200+bits)
+		}
+		flood.ChargeFlood(recv, relays, rho, bits)
+		for _, u := range recv {
+			loop.ChargeRecv(u, bits)
+			if r, ok := relayRho[u]; ok {
+				loop.ChargeSend(u, bits, r)
+			}
+		}
+		same(fmt.Sprintf("flood %d (%d bits)", i, bits))
 	}
 }

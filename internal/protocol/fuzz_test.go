@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -107,6 +109,60 @@ func FuzzBucketsIndex(f *testing.F) {
 			if v < blo || v >= bhi {
 				t.Fatalf("value %d assigned to bucket %d = [%d,%d)", v, idx, blo, bhi)
 			}
+		}
+	})
+}
+
+// FuzzSmallestKMerge checks TAG's bounded merge (mergeSmallest folded
+// over a node's children, then insertSmallest of its own reading)
+// against the append + sort + truncate it replaces. raw is split into
+// up to eight child lists at every 0xFF byte; values are taken modulo
+// 8 so duplicates abound, and empty lists and k beyond the input size
+// come up as a matter of course.
+func FuzzSmallestKMerge(f *testing.F) {
+	f.Add([]byte{}, uint8(0), uint8(3))
+	f.Add([]byte{1, 2, 3}, uint8(2), uint8(1))
+	f.Add([]byte{5, 5, 0xFF, 5, 1, 0xFF, 0xFF, 7}, uint8(5), uint8(4))
+	f.Add([]byte{0xFF, 3, 3, 3, 0xFF, 2}, uint8(3), uint8(30))
+	f.Fuzz(func(t *testing.T, raw []byte, own, kb uint8) {
+		k := int(kb % 40)
+		var lists [][]int
+		cur := []int{}
+		for _, b := range raw {
+			if b == 0xFF {
+				lists, cur = append(lists, cur), []int{}
+				continue
+			}
+			cur = append(cur, int(b%8))
+		}
+		lists = append(lists, cur)
+		if len(lists) > 8 {
+			lists = lists[:8]
+		}
+		var want []int
+		for i, l := range lists {
+			// On the air every list is already a sorted k-truncation.
+			sort.Ints(l)
+			if len(l) > k {
+				lists[i] = l[:k]
+			}
+			want = append(want, lists[i]...)
+		}
+		want = append(want, int(own%8))
+		sort.Ints(want)
+		if len(want) > k {
+			want = want[:k]
+		}
+
+		acc := append([]int(nil), lists[0]...)
+		var buf []int
+		for _, l := range lists[1:] {
+			buf = mergeSmallest(buf[:0], acc, l, k)
+			acc, buf = buf, acc
+		}
+		got := insertSmallest(acc, int(own%8), k)
+		if !slices.Equal(got, want) && !(len(got) == 0 && len(want) == 0) {
+			t.Fatalf("lists %v own %d k %d: bounded merge %v, sort+truncate %v", lists, own%8, k, got, want)
 		}
 	})
 }

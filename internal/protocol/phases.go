@@ -68,6 +68,34 @@ func (c *chunks[T]) next() *T {
 	return p
 }
 
+// Arena is chunks for a collector that lives across convergecasts: it
+// hands out values from chunks of 16 and takes every one of them back
+// on Reset. A collector resets it at the start of each call, when all
+// payloads of its previous call are dead — consumed at the root, merged
+// away, or lost in flight — so lost payloads are reclaimed too, and a
+// warm collector allocates no payloads. Values come back with their
+// old contents; callers reinitialize them. The zero value is empty.
+type Arena[T any] struct {
+	chunks [][]T
+	ci, i  int // the next value is chunks[ci][i]
+}
+
+// Reset takes back every value handed out.
+func (a *Arena[T]) Reset() { a.ci, a.i = 0, 0 }
+
+// Next returns the next value, allocating a chunk when all are in use.
+func (a *Arena[T]) Next() *T {
+	if a.ci < len(a.chunks) && a.i == leafChunk {
+		a.ci, a.i = a.ci+1, 0
+	}
+	if a.ci == len(a.chunks) {
+		a.chunks = append(a.chunks, make([]T, leafChunk))
+	}
+	p := &a.chunks[a.ci][a.i]
+	a.i++
+	return p
+}
+
 // RunValidation executes one validation convergecast: every node whose
 // measurement changed its filter region contributes movement counters
 // and hints; nodes matched by Attach additionally ship their values;
@@ -197,27 +225,104 @@ func rootValues(atRoot []sim.Payload) []int {
 // measurement with its children's lists and forwards the k smallest.
 // The returned slice holds the (up to k) smallest measurements that
 // reached the root, ascending. Under loss, fewer or other values may
-// arrive; loss-free it is exact.
+// arrive; loss-free it is exact. A caller that collects every round
+// keeps a SmallestK instead, so its buffers serve the next round.
 func CollectSmallestK(rt *sim.Runtime, k int) []int {
-	pool := valuesPool{sizes: rt.Sizes()}
+	var s SmallestK
+	return s.Collect(rt, k)
+}
+
+// SmallestK is the recycled state of TAG's collection: the value
+// payloads and the merge buffer of one Collect call serve the next, so
+// a warm collector allocates only its result. The zero value is ready
+// to use; it is not safe for concurrent use.
+type SmallestK struct {
+	vals Arena[Values]
+	free []*Values // payloads merged away in this call, for later leaves
+	buf  []int     // the merge buffer
+}
+
+// Collect runs CollectSmallestK's convergecast on the collector's
+// buffers. Every list on the air is sorted, so a node merges its
+// children's lists pairwise, stopping at k entries, into a buffer that
+// then trades places with the accumulator's list, and inserts its own
+// reading by binary search — no per-node sort. The returned slice is
+// the caller's.
+func (s *SmallestK) Collect(rt *sim.Runtime, k int) []int {
+	sizes := rt.Sizes()
+	s.vals.Reset()
+	s.free = s.free[:0]
 	atRoot := rt.Convergecast(func(n int, children []sim.Payload) sim.Payload {
-		acc := pool.absorb(children, 1)
-		if acc == nil {
-			acc = pool.get()
+		var acc *Values
+		switch {
+		case len(children) > 0:
+			acc = children[0].(*Values)
+			for _, ch := range children[1:] {
+				o := ch.(*Values)
+				s.buf = mergeSmallest(s.buf[:0], acc.Vals, o.Vals, k)
+				acc.Vals, s.buf = s.buf, acc.Vals
+				s.free = append(s.free, o)
+			}
+		case len(s.free) > 0:
+			acc = s.free[len(s.free)-1]
+			s.free = s.free[:len(s.free)-1]
+			acc.Vals = acc.Vals[:0]
+		default:
+			acc = s.vals.Next()
+			acc.Vals, acc.sizes = acc.Vals[:0], sizes
 		}
-		acc.Vals = append(acc.Vals, rt.Reading(n))
-		sort.Ints(acc.Vals)
-		if len(acc.Vals) > k {
-			acc.Vals = acc.Vals[:k]
-		}
+		acc.Vals = insertSmallest(acc.Vals, rt.Reading(n), k)
 		return acc
 	})
-	all := rootValues(atRoot)
+	size := 0
+	for _, p := range atRoot {
+		size += len(p.(*Values).Vals)
+	}
+	all := make([]int, 0, size)
+	for _, p := range atRoot {
+		all = append(all, p.(*Values).Vals...)
+	}
+	clear(atRoot)
 	sort.Ints(all)
 	if len(all) > k {
 		all = all[:k]
 	}
 	return all
+}
+
+// mergeSmallest appends to dst the k smallest entries of the ascending
+// lists a and b, ascending.
+func mergeSmallest(dst, a, b []int, k int) []int {
+	i, j := 0, 0
+	for len(dst) < k && i < len(a) && j < len(b) {
+		if b[j] < a[i] {
+			dst = append(dst, b[j])
+			j++
+		} else {
+			dst = append(dst, a[i])
+			i++
+		}
+	}
+	if room := k - len(dst); room > 0 {
+		dst = append(dst, a[i:min(len(a), i+room)]...)
+		room = k - len(dst)
+		dst = append(dst, b[j:min(len(b), j+room)]...)
+	}
+	return dst
+}
+
+// insertSmallest inserts v into the ascending list vals, which holds at
+// most k entries, and keeps the k smallest.
+func insertSmallest(vals []int, v, k int) []int {
+	i := sort.SearchInts(vals, v)
+	if len(vals) < k {
+		vals = append(vals, 0)
+	} else if i >= len(vals) {
+		return vals
+	}
+	copy(vals[i+1:], vals[i:])
+	vals[i] = v
+	return vals
 }
 
 // CollectValuesIn performs a direct-retrieval convergecast: every node
@@ -226,7 +331,7 @@ func CollectSmallestK(rt *sim.Runtime, k int) []int {
 func CollectValuesIn(rt *sim.Runtime, lo, hi int) []int {
 	rt.TraceRefine(lo, hi, -1)
 	pool := valuesPool{sizes: rt.Sizes()}
-	atRoot := rt.Convergecast(func(n int, children []sim.Payload) sim.Payload {
+	atRoot := rt.ConvergecastIn(lo, hi, func(n int, children []sim.Payload) sim.Payload {
 		v, own := rt.Reading(n), 0
 		if v >= lo && v <= hi {
 			own = 1
@@ -259,7 +364,7 @@ func CollectExtreme(rt *sim.Runtime, lo, hi, f int, largest bool) []int {
 	}
 	rt.TraceRefine(lo, hi, f)
 	pool := valuesPool{sizes: rt.Sizes()}
-	atRoot := rt.Convergecast(func(n int, children []sim.Payload) sim.Payload {
+	atRoot := rt.ConvergecastIn(lo, hi, func(n int, children []sim.Payload) sim.Payload {
 		v, own := rt.Reading(n), 0
 		if v >= lo && v <= hi {
 			own = 1
@@ -309,24 +414,55 @@ func truncateExtreme(vals []int, f int, largest bool) []int {
 // CollectHistogram gathers the bucket histogram of all measurements in
 // bu's range: each node inside sorts itself into a bucket, histograms
 // aggregate by vector addition, and only non-empty subtrees transmit.
+// The returned counts are freshly allocated; a caller that collects
+// every round keeps a Counts and calls its Histogram instead.
 func CollectHistogram(rt *sim.Runtime, bu Buckets) []int {
-	rt.TraceRefine(bu.Lo, bu.Hi-1, bu.Effective())
-	return CollectCounts(rt, bu.Effective(), bu.Index)
+	var c Counts
+	return c.Histogram(rt, bu)
 }
 
-// CollectCounts gathers a histogram of cells counts: cellOf maps a
-// measurement to its cell, or reports false for measurements outside
-// every cell. Histograms aggregate by vector addition, travel
-// compressed, and only non-empty subtrees transmit. A node with
-// children adds into its first child's histogram; the histograms of
-// the other children are merged away and serve later leaves of the
-// same call. The returned counts are freshly allocated.
-func CollectCounts(rt *sim.Runtime, cells int, cellOf func(v int) (int, bool)) []int {
+// Histogram is CollectHistogram on the collector's buffers. The
+// returned counts belong to c and are valid until its next collection.
+func (c *Counts) Histogram(rt *sim.Runtime, bu Buckets) []int {
+	rt.TraceRefine(bu.Lo, bu.Hi-1, bu.Effective())
+	return c.Collect(rt, bu.Effective(), bu.Lo, bu.Hi-1, bu.Index)
+}
+
+// CollectCounts gathers a histogram of cells counts over the
+// measurements in the closed interval [lo, hi]: cellOf maps such a
+// measurement to its cell, and must report false for every measurement
+// outside [lo, hi] (it may for some inside, too). Histograms aggregate
+// by vector addition, travel compressed, and only non-empty subtrees
+// transmit; nodes outside the range are skipped without a merge call
+// (Runtime.ConvergecastIn). The counts are written to dst, resized to
+// cells (reallocated only when its capacity is short), and returned;
+// pass nil for a fresh slice. A caller that collects every round keeps
+// a Counts instead, so its payloads serve the next collection too.
+func CollectCounts(rt *sim.Runtime, dst []int, cells, lo, hi int, cellOf func(v int) (int, bool)) []int {
+	c := Counts{total: dst}
+	return c.Collect(rt, cells, lo, hi, cellOf)
+}
+
+// Counts is the recycled state of CollectCounts: the histogram payloads
+// and the result of one Collect call serve the next. The zero value is
+// ready to use; it is not safe for concurrent use.
+type Counts struct {
+	hists Arena[Histogram]
+	free  []*Histogram // payloads merged away in this call, for later leaves
+	ints  []int        // unused count storage for new histograms
+	total []int
+}
+
+// Collect runs CollectCounts' convergecast on the collector's buffers.
+// A node with children adds into its first child's histogram; the
+// histograms of the other children are merged away and serve later
+// leaves of the same call. The returned counts belong to c and are
+// valid until its next Collect.
+func (c *Counts) Collect(rt *sim.Runtime, cells, lo, hi int, cellOf func(v int) (int, bool)) []int {
 	sizes := rt.Sizes()
-	var free []*Histogram
-	var fresh chunks[Histogram]
-	var freshCounts []int
-	atRoot := rt.Convergecast(func(n int, children []sim.Payload) sim.Payload {
+	c.hists.Reset()
+	c.free = c.free[:0]
+	atRoot := rt.ConvergecastIn(lo, hi, func(n int, children []sim.Payload) sim.Payload {
 		idx, in := cellOf(rt.Reading(n))
 		var acc *Histogram
 		switch {
@@ -334,36 +470,41 @@ func CollectCounts(rt *sim.Runtime, cells int, cellOf func(v int) (int, bool)) [
 			acc = children[0].(*Histogram)
 			for _, ch := range children[1:] {
 				h := ch.(*Histogram)
-				for i, c := range h.Counts {
-					acc.Counts[i] += c
+				for i, v := range h.Counts {
+					acc.Counts[i] += v
 				}
-				free = append(free, h)
+				c.free = append(c.free, h)
 			}
 		case !in:
 			return nil
-		case len(free) > 0:
-			acc = free[len(free)-1]
-			free = free[:len(free)-1]
+		case len(c.free) > 0:
+			acc = c.free[len(c.free)-1]
+			c.free = c.free[:len(c.free)-1]
 			clear(acc.Counts)
 		default:
-			if len(freshCounts) == 0 {
-				freshCounts = make([]int, leafChunk*cells)
+			acc = c.hists.Next()
+			acc.sizes = sizes
+			if cap(acc.Counts) < cells {
+				if len(c.ints) < cells {
+					c.ints = make([]int, leafChunk*cells)
+				}
+				acc.Counts, c.ints = c.ints[:cells:cells], c.ints[cells:]
 			}
-			acc = fresh.next()
-			acc.Counts, acc.sizes = freshCounts[:cells:cells], sizes
-			freshCounts = freshCounts[cells:]
+			acc.Counts = acc.Counts[:cells]
+			clear(acc.Counts)
 		}
 		if in {
 			acc.Counts[idx]++
 		}
 		return acc
 	})
-	total := make([]int, cells)
+	c.total = slices.Grow(c.total[:0], cells)[:cells]
+	clear(c.total)
 	for _, p := range atRoot {
-		for i, c := range p.(*Histogram).Counts {
-			total[i] += c
+		for i, v := range p.(*Histogram).Counts {
+			c.total[i] += v
 		}
 	}
 	clear(atRoot)
-	return total
+	return c.total
 }

@@ -9,10 +9,11 @@ import (
 )
 
 // TestCollectorResultsSurviveRecycling guards the payload recycling of
-// the collectors: what CollectValuesIn, CollectHistogram and
-// RunValidation (its Attached values) return must be the caller's own
-// memory, unchanged by the next convergecasts on the same runtime —
-// within the round and after the next one starts.
+// the collectors: what CollectValuesIn, CollectHistogram, RunValidation
+// (its Attached values) and a recycled SmallestK return must be the
+// caller's own memory, unchanged by the next convergecasts on the same
+// runtime and the next collections of the same SmallestK — within the
+// round and after the next one starts.
 func TestCollectorResultsSurviveRecycling(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	rt := newRuntime(t, randomSeries(rng, 150, 3, 1000), 5)
@@ -30,18 +31,23 @@ func TestCollectorResultsSurviveRecycling(t *testing.T) {
 	vals := CollectValuesIn(rt, 100, 800)
 	hist := CollectHistogram(rt, bu)
 	attached := RunValidation(rt, attachAll).Attached
-	if len(vals) == 0 || len(attached) == 0 {
+	var tag SmallestK
+	smallest := tag.Collect(rt, 40)
+	if len(vals) == 0 || len(attached) == 0 || len(smallest) != 40 {
 		t.Fatal("fixture collected nothing")
 	}
 	wantVals := append([]int(nil), vals...)
 	wantHist := append([]int(nil), hist...)
 	wantAttached := append([]int(nil), attached...)
+	wantSmallest := append([]int(nil), smallest...)
 
 	churn := func() {
 		CollectValuesIn(rt, 0, 999)
 		CollectHistogram(rt, bu)
 		RunValidation(rt, attachAll)
 		CollectSmallestK(rt, 40)
+		tag.Collect(rt, 40)
+		tag.Collect(rt, 150)
 		CollectExtreme(rt, 0, 999, 10, true)
 		rt.Convergecast(func(n int, children []sim.Payload) sim.Payload {
 			return NewValues([]int{-1, -1, -1}, rt.Sizes(), 0)
@@ -57,6 +63,9 @@ func TestCollectorResultsSurviveRecycling(t *testing.T) {
 		}
 		if !reflect.DeepEqual(attached, wantAttached) {
 			t.Errorf("%s: RunValidation Attached changed", when)
+		}
+		if !reflect.DeepEqual(smallest, wantSmallest) {
+			t.Errorf("%s: SmallestK.Collect result changed", when)
 		}
 	}
 	churn()

@@ -8,8 +8,8 @@ import (
 
 // The allocation guards of the round path (`make allocs`): the
 // convergecast core must not allocate once its payload stack has grown,
-// and a runtime that never loses a hop must never build its loss
-// sampler.
+// nor the broadcast once its flood plan is built, and a runtime that
+// never loses a hop must never build its loss sampler.
 
 // TestConvergecastAllocFree pins Convergecast with a non-allocating
 // merge at zero allocations per call, readings and phase accounting
@@ -72,5 +72,20 @@ func TestLosslessRuntimeHasNoRNG(t *testing.T) {
 	rt.Convergecast(merge)
 	if rt.rng == nil {
 		t.Fatal("a lossy convergecast drew without a sampler")
+	}
+}
+
+// floodPayload is a broadcast payload boxed once, so the allocation
+// guard measures the broadcast and not the interface conversion.
+var floodPayload Payload = benchPayload{bits: 16}
+
+// TestBroadcastAllocFree pins an untraced, lossless Broadcast with a
+// warm flood plan at zero allocations per call.
+func TestBroadcastAllocFree(t *testing.T) {
+	rt := benchRuntime(t)
+	rt.SetPhase(PhaseFilter)
+	rt.Broadcast(floodPayload, nil) // build the flood plan
+	if allocs := testing.AllocsPerRun(100, func() { rt.Broadcast(floodPayload, nil) }); allocs != 0 {
+		t.Errorf("Broadcast allocates %.1f times per call, want 0", allocs)
 	}
 }

@@ -344,9 +344,10 @@ func (rt *Runtime) ProactiveReroot() int {
 		return 0
 	}
 	spent := rt.ledger.Snapshot()
+	relayAt := rt.top.Flood().RelayAt
 	hot := -1
 	for u := 0; u < rt.top.N(); u++ {
-		if rt.top.IsVirtual(u) || rt.crashedNode(u) || !rt.hasRadioChildren(u) {
+		if relayAt[u] < 0 || rt.crashedNode(u) {
 			continue
 		}
 		if u >= len(spent) {
@@ -601,6 +602,8 @@ func (rt *Runtime) broadcastFaulty(p Payload, visit func(node int)) {
 	}
 	got := rt.bcastGot
 	clear(got)
+	fl := rt.top.Flood()
+	rho := fl.Ranges(rt.byDist)
 	po := rt.top.PostOrder
 	for i := len(po) - 1; i >= 0; i-- {
 		u := po[i]
@@ -652,8 +655,8 @@ func (rt *Runtime) broadcastFaulty(p Payload, visit func(node int)) {
 				Bits: bits, Wire: wire,
 			})
 		}
-		if rt.hasRadioChildren(u) {
-			rt.ledger.ChargeSend(u, wire, rt.downlinkRange(u))
+		if r := fl.RelayAt[u]; r >= 0 {
+			rt.ledger.ChargeSend(u, wire, rho[r])
 			rt.account(wire, frames, vals)
 			if rt.tr != nil {
 				rt.emitSend(u, -1, trace.Broadcast, bits, wire, frames, vals)

@@ -266,15 +266,19 @@ func (rt *Runtime) Phase() string {
 
 // account books one transmission into the global stats and the
 // current phase's pending per-phase counts.
-func (rt *Runtime) account(wire, frames, values int) {
-	rt.stats.FramesSent += frames
-	rt.stats.PayloadsSent++
-	rt.stats.BitsSent += wire
-	rt.stats.ValuesSent += values
-	rt.pend.Payloads++
-	rt.pend.Frames += frames
-	rt.pend.Bits += wire
-	rt.pend.Values += values
+func (rt *Runtime) account(wire, frames, values int) { rt.accountN(wire, frames, values, 1) }
+
+// accountN books n transmissions of the same payload, as n account
+// calls would.
+func (rt *Runtime) accountN(wire, frames, values, n int) {
+	rt.stats.FramesSent += n * frames
+	rt.stats.PayloadsSent += n
+	rt.stats.BitsSent += n * wire
+	rt.stats.ValuesSent += n * values
+	rt.pend.Payloads += n
+	rt.pend.Frames += n * frames
+	rt.pend.Bits += n * wire
+	rt.pend.Values += n * values
 	rt.pendDirty = true
 }
 
@@ -548,12 +552,33 @@ func (rt *Runtime) emitSend(sender, receiver int, cast trace.Cast, bits, wire, f
 // its children delivered are exactly the top stack entries addressed
 // to u. Whatever remains at the end is addressed to the root.
 func (rt *Runtime) Convergecast(merge func(node int, children []Payload) Payload) []Payload {
+	return rt.convergecast(nil, 0, 0, merge)
+}
+
+// ConvergecastIn is Convergecast for a range-selective collection: it
+// skips the merge call of every node that received no child payload
+// and whose reading lies outside the closed interval [lo, hi], and
+// treats that node as silent. Everything else — routing, loss draws,
+// charges, statistics and the memory contract — is Convergecast's.
+//
+// Contract: merge, called for such a node, must return nil and have no
+// side effect, so skipping the call changes nothing (DESIGN.md §4m).
+func (rt *Runtime) ConvergecastIn(lo, hi int, merge func(node int, children []Payload) Payload) []Payload {
+	return rt.convergecast(rt.currentReadings(), lo, hi, merge)
+}
+
+// convergecast is the convergecast loop; with readings non-nil it
+// skips the childless nodes whose reading lies outside [lo, hi].
+func (rt *Runtime) convergecast(readings []int, lo, hi int, merge func(node int, children []Payload) Payload) []Payload {
 	rt.stats.Convergecasts++
 	stack, to := rt.stack[:0], rt.stackTo[:0]
 	for _, u := range rt.top.PostOrder {
 		top := len(stack)
 		for top > 0 && to[top-1] == u {
 			top--
+		}
+		if top == len(stack) && readings != nil && (readings[u] < lo || readings[u] > hi) {
+			continue
 		}
 		var p Payload
 		// A crashed sensor neither merges nor transmits; whatever its
@@ -616,12 +641,18 @@ func (rt *Runtime) Convergecast(merge func(node int, children []Payload) Payload
 // Config.LossBroadcast subjects the flood to the loss sampler; then a
 // node that misses the flood starves its subtree and visit only runs
 // for the sensors actually reached.
+//
+// Every flood follows the tree's broadcast schedule (wsn.Flood). A
+// reliable, untraced one reaches every radio sensor, so it is one
+// Ledger.ChargeFlood call plus integer accounting.
 func (rt *Runtime) Broadcast(p Payload, visit func(node int)) {
 	rt.stats.Broadcasts++
 	if rt.flt != nil || rt.lossBcast {
 		rt.broadcastFaulty(p, visit)
 		return
 	}
+	fl := rt.top.Flood()
+	rho := fl.Ranges(rt.byDist)
 	bits := p.Bits()
 	wire := rt.sizes.WireBits(bits)
 	frames := rt.sizes.Frames(bits)
@@ -629,30 +660,35 @@ func (rt *Runtime) Broadcast(p Payload, visit func(node int)) {
 	if vc, ok := p.(ValueCarrier); ok {
 		vals = vc.ValueCount()
 	}
+	if rt.tr == nil {
+		rt.ledger.ChargeFlood(fl.Recv, fl.Relays, rho, wire)
+		// The root's transmission plus one retransmission per relay.
+		rt.accountN(wire, frames, vals, 1+len(fl.Relays))
+		if visit != nil {
+			for i := len(rt.top.PostOrder) - 1; i >= 0; i-- {
+				visit(rt.top.PostOrder[i])
+			}
+		}
+		return
+	}
 	// Root transmission (free) reaching its children.
 	rt.account(wire, frames, vals)
-	if rt.tr != nil {
-		rt.emitSend(-1, -1, trace.Broadcast, bits, wire, frames, vals)
-	}
+	rt.emitSend(-1, -1, trace.Broadcast, bits, wire, frames, vals)
 	// Top-down order is the reverse of post-order. Virtual nodes share
 	// their host's radio: they neither pay a reception nor retransmit.
 	for i := len(rt.top.PostOrder) - 1; i >= 0; i-- {
 		u := rt.top.PostOrder[i]
 		if !rt.top.IsVirtual(u) {
 			rt.ledger.ChargeRecv(u, wire)
-			if rt.tr != nil {
-				rt.tr.Collect(trace.Event{
-					Kind: trace.KindReceive, Round: rt.round, Phase: rt.Phase(),
-					Node: u, Peer: rt.top.Parent[u], Cast: trace.Broadcast,
-					Bits: bits, Wire: wire,
-				})
-			}
-			if rt.hasRadioChildren(u) {
-				rt.ledger.ChargeSend(u, wire, rt.downlinkRange(u))
+			rt.tr.Collect(trace.Event{
+				Kind: trace.KindReceive, Round: rt.round, Phase: rt.Phase(),
+				Node: u, Peer: rt.top.Parent[u], Cast: trace.Broadcast,
+				Bits: bits, Wire: wire,
+			})
+			if r := fl.RelayAt[u]; r >= 0 {
+				rt.ledger.ChargeSend(u, wire, rho[r])
 				rt.account(wire, frames, vals)
-				if rt.tr != nil {
-					rt.emitSend(u, -1, trace.Broadcast, bits, wire, frames, vals)
-				}
+				rt.emitSend(u, -1, trace.Broadcast, bits, wire, frames, vals)
 			}
 		}
 		if visit != nil {
@@ -673,35 +709,4 @@ func (rt *Runtime) uplinkRange(u int) float64 {
 		return rt.top.Pos[u].Dist(rt.top.Root)
 	}
 	return rt.top.Pos[u].Dist(rt.top.Pos[p])
-}
-
-// downlinkRange returns the transmission range a broadcast hop from u
-// is charged for: the nominal range, or (with distance-based charging)
-// the distance to u's farthest non-virtual child, which the single
-// wireless transmission must reach.
-func (rt *Runtime) downlinkRange(u int) float64 {
-	if !rt.byDist {
-		return rt.top.Range
-	}
-	maxD := 0.0
-	for _, c := range rt.top.Children[u] {
-		if rt.top.IsVirtual(c) {
-			continue
-		}
-		if d := rt.top.Pos[u].Dist(rt.top.Pos[c]); d > maxD {
-			maxD = d
-		}
-	}
-	return maxD
-}
-
-// hasRadioChildren reports whether node u must retransmit a broadcast,
-// i.e. has at least one non-virtual child.
-func (rt *Runtime) hasRadioChildren(u int) bool {
-	for _, c := range rt.top.Children[u] {
-		if !rt.top.IsVirtual(c) {
-			return true
-		}
-	}
-	return false
 }

@@ -96,6 +96,7 @@ func (t *Topology) Reparent(u, newParent int) error {
 		return fmt.Errorf("wsn: reparent: %d → %d would create a cycle", u, newParent)
 	}
 	t.Parent[u] = newParent
+	t.flood.Store(nil)
 	return t.rebuild()
 }
 

@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 )
 
 // Point is a position in the deployment region, in meters.
@@ -49,6 +50,8 @@ type Topology struct {
 	// its parent (§2 of the paper), so its transmissions are free and
 	// it shares its host's radio. Nil when no virtual nodes exist.
 	VirtualEdge []bool
+
+	flood atomic.Pointer[Flood] // broadcast schedule, built by Flood
 }
 
 // IsVirtual reports whether node i is an artificial (intra-node) child.
