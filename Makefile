@@ -21,7 +21,8 @@ help:
 	@echo "  oracle      flight-recorder collectors + invariant oracle suite"
 	@echo "  telemetry   registry race test and snapshot-determinism test under -race"
 	@echo "  alert       series ring race-hammer and alert rule-engine determinism"
-	@echo "  chaos       seeded crash+burst fault smoke of HBC and IQ under -race"
+	@echo "  chaos       seeded crash+burst fault smoke of HBC and IQ, the round driver's"
+	@echo "              recovery contract and the cross-driver parity test, under -race"
 	@echo "  serve       query-service gate: registry race hammer + seeded 1,000-query load smoke"
 	@echo "  scenario    golden-scenario gate: DSL round-trips, pinned replay digests,"
 	@echo "              live-vs-replay differential, replay speedup, fleet boot"
@@ -111,11 +112,15 @@ prof-guard:
 
 # chaos is the robustness gate: the seeded crash+burst smoke of HBC
 # and IQ through the engine, the public API, the oracle's fault mode,
-# and the pinned golden recovery study — all under the race detector.
+# and the pinned golden recovery study; the round driver's recovery
+# contract (protocol.Driver unit tests); and the cross-driver parity
+# test holding the engine, Simulation and a served query to the same
+# answers, reinits and decisions — all under the race detector.
 chaos:
 	$(GO) test -race -run '^(TestEngineUnderFaults|TestEngineFaultDeterminism|TestEngineFaultPartition)$$' -v ./internal/experiment/
 	$(GO) test -race -run '^TestDifferentialUnderFaults$$' -v ./internal/trace/oracle/
-	$(GO) test -race -run '^(TestRunWithFaults|TestSimulationSetFaults|TestGoldenRecoveryStudy)$$' -v .
+	$(GO) test -race -run '^TestDriver' -v ./internal/protocol/
+	$(GO) test -race -run '^(TestRunWithFaults|TestSimulationSetFaults|TestGoldenRecoveryStudy|TestDriverParity|TestSimulationStepError)$$' -v .
 
 # serve gates the continuous query service: the registry's concurrent
 # register/advance/subscribe hammer under the race detector, the
@@ -124,7 +129,7 @@ chaos:
 # sustained throughput, zero dropped subscriber answers under quota,
 # and engaged series downsampling.
 serve:
-	$(GO) test -race -run '^(TestServeHammer|TestHandlerBranches|TestSubscribeBackpressure)$$' -v ./internal/serve/
+	$(GO) test -race -run '^(TestServeHammer|TestHandlerBranches|TestSubscribeBackpressure|TestStepErrorRecovery)$$' -v ./internal/serve/
 	$(GO) test -count=1 -run '^(TestServeDeterminism|TestServeLoadSmoke)$$' -v .
 
 # scenario gates the golden scenarios: the DSL parser/printer

@@ -167,6 +167,9 @@ type Update struct {
 	Degraded  bool `json:"degraded,omitempty"`
 	Staleness int  `json:"staleness,omitempty"`
 	Missing   int  `json:"missing,omitempty"`
+	// Reinit reports that the round replayed the protocol's
+	// initialization after a desynchronization (protocol.Driver).
+	Reinit bool `json:"reinit,omitempty"`
 
 	// LatencyMs is the wall-clock time this round's answer took to
 	// compute; measured (and the SLO fields below populated) only on
@@ -438,13 +441,14 @@ func buildQuery(spec Spec, cfg experiment.Config, fleet *Fleet, rcfg Config) (*Q
 			}
 		}
 	}
+	alg := factory()
 	q := &Query{
 		id:     spec.ID,
 		spec:   spec,
 		fleet:  fleet,
 		k:      cfg.K(),
 		rt:     rt,
-		alg:    factory(),
+		drv:    protocol.NewDriver(rt, alg, cfg.K()),
 		store:  store,
 		eng:    eng,
 		slo:    tracker,
@@ -460,7 +464,8 @@ func buildQuery(spec Spec, cfg experiment.Config, fleet *Fleet, rcfg Config) (*Q
 		// The controller rides the same ingester as the query's own
 		// alert engine but evaluates its policies on a private one, so a
 		// query's Rules and its adaptation never interfere.
-		ctl.Bind(adapt.BindRuntime(q.alg, rt))
+		ctl.Bind(adapt.BindRuntime(alg, rt))
+		q.drv.SetController(ctl)
 		sinks = append(sinks, ctl.Observe)
 	}
 	// The sampling ingester diffs the runtime's cumulative counters at
@@ -629,14 +634,12 @@ type Query struct {
 	mu      sync.Mutex
 	rt      *sim.Runtime
 	ph      *prof.Handle
-	alg     protocol.Algorithm
+	drv     *protocol.Driver
 	store   *series.Store
 	eng     *alert.Engine
 	slo     *slo.Tracker
 	ctl     *adapt.Controller
-	inited  bool
 	closed  bool
-	round   int
 	alertAt int     // absolute alert-log cursor (alert.Engine.LogSince)
 	sloAt   int     // absolute SLO-event cursor (slo.Tracker.LogSince)
 	adaptAt int     // decision-log cursor (adapt.Controller.DecisionsSince)
@@ -682,11 +685,12 @@ func (q *Query) Alerts() *alert.Engine { return q.eng }
 // query without objectives).
 func (q *Query) SLO() *slo.Tracker { return q.slo }
 
-// step executes one protocol round, mirroring Simulation.Step without
-// faults: the first round runs Init (over reliable links, like every
-// driver), later rounds advance the runtime and run Step; an error
-// parks the query. The round's decision is traced — feeding the series
-// ingester and alert sinks — and the resulting Update published.
+// step executes one protocol round through the query's
+// protocol.Driver — the recovery contract every driver shares: reliable
+// initialization on the first round, reinitialization after a
+// desynchronization under loss — and publishes the resulting Update.
+// An error the driver returns parks the query. The round's decision is
+// traced, feeding the series ingester and alert sinks.
 func (q *Query) step(dropped *atomic.Int64) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -708,45 +712,16 @@ func (q *Query) step(dropped *atomic.Int64) {
 		// recordings of unserved runs.
 		began = time.Now()
 	}
-	var (
-		v   int
-		err error
-	)
-	if !q.inited {
-		// Initialization is modeled as reliable transfer, exactly like
-		// the batch engine and the round-by-round Simulation: iid loss
-		// and link-level faults are suspended for the replay.
-		lossP := q.rt.LossProb()
-		if lossP > 0 {
-			_ = q.rt.SetLossProb(0)
-		}
-		q.rt.SetFaultReliable(true)
-		v, err = q.alg.Init(q.rt, q.k)
-		q.rt.SetFaultReliable(false)
-		if lossP > 0 {
-			_ = q.rt.SetLossProb(lossP)
-		}
-		q.inited = true
-	} else {
-		q.rt.AdvanceRound()
-		q.round++
-		if q.ctl != nil {
-			// The previous round's point flushed through the controller
-			// during AdvanceRound; its queued actions apply before this
-			// round's protocol work, mirroring the experiment engine.
-			q.ctl.Apply()
-		}
-		v, err = q.alg.Step(q.rt)
-	}
+	v, reinit, err := q.drv.Round()
+	round := q.rt.Round()
 	if err != nil {
-		q.failed = fmt.Errorf("round %d: %w", q.round, err)
-		q.publish(Update{Query: q.id, Round: q.round, Failed: q.failed.Error()}, dropped)
+		q.failed = err
+		q.publish(Update{Query: q.id, Round: round, Failed: err.Error()}, dropped)
 		return
 	}
-	q.rt.TraceDecision(q.k, v)
 	u := Update{
 		Query:     q.id,
-		Round:     q.round,
+		Round:     round,
 		Quantile:  v,
 		Oracle:    q.rt.Oracle(q.k),
 		RankError: q.rt.RankErrorOf(q.k, v),
@@ -755,6 +730,7 @@ func (q *Query) step(dropped *atomic.Int64) {
 		Degraded:  q.rt.CoverageDeficit() > 0,
 		Staleness: q.rt.Staleness(),
 		Missing:   q.rt.Missing(),
+		Reinit:    reinit,
 	}
 	if q.eng != nil {
 		u.Alerts, q.alertAt = q.eng.LogSince(q.alertAt)
@@ -766,7 +742,7 @@ func (q *Query) step(dropped *atomic.Int64) {
 		u.LatencyMs = float64(time.Since(began)) / float64(time.Millisecond)
 		q.stepMs += u.LatencyMs
 		u.SLO = q.slo.Observe(q.spec.Key, slo.Sample{
-			Round:     q.round,
+			Round:     round,
 			RankError: u.RankError,
 			N:         q.rt.N(),
 			Degraded:  u.Degraded,

@@ -14,6 +14,8 @@ import (
 	"time"
 
 	"wsnq/internal/experiment"
+	"wsnq/internal/protocol"
+	"wsnq/internal/simtest"
 )
 
 // testCfg is a small fleet every test can afford: 40 nodes, a tight
@@ -173,6 +175,46 @@ func TestQueryIsolation(t *testing.T) {
 	}
 	if qa.Series() == qb.Series() {
 		t.Fatal("queries share a series store")
+	}
+}
+
+// TestStepErrorRecovery: a query follows the driver's recovery
+// contract. A Step error on a lossy fleet replays initialization and
+// the query goes on; on a lossless, fault-free fleet it parks the
+// query.
+func TestStepErrorRecovery(t *testing.T) {
+	r := NewRegistry(Config{Resolve: func(string) (experiment.Factory, error) {
+		return func() protocol.Algorithm { return &simtest.StepFailer{FailAt: 3} }, nil
+	}})
+	lossy := testCfg()
+	lossy.LossProb = 0.3
+	for name, cfg := range map[string]experiment.Config{"clean": testCfg(), "lossy": lossy} {
+		if _, err := r.AddFleet(name, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clean, err := r.Register(Spec{Fleet: "clean", Algorithm: "failer"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lq, err := r.Register(Spec{Fleet: "lossy", Algorithm: "failer"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := lq.Subscribe()
+	for i := 0; i < 5; i++ {
+		r.Advance()
+		u := <-sub.Updates()
+		if u.Failed != "" || u.Reinit != (i == 3) {
+			t.Errorf("lossy round %d: reinit %v, failed %q", u.Round, u.Reinit, u.Failed)
+		}
+	}
+	u, _ := clean.Latest()
+	if err := clean.Err(); err == nil || !strings.Contains(err.Error(), "failer round 3") {
+		t.Fatalf("clean query err = %v, want the round-3 step error", err)
+	}
+	if u.Round != 3 || u.Failed == "" {
+		t.Errorf("clean query's last update %+v, want the failed round 3", u)
 	}
 }
 

@@ -172,9 +172,9 @@ func (rt *Runtime) Repairs() int {
 }
 
 // ConsumeReinit reports whether a repair or crash recovery since the
-// last call left protocol state stale, and clears the flag. Drivers
-// re-run the algorithm's initialization when it fires, restoring exact
-// answers after the tree heals.
+// last call left protocol state stale, and clears the flag. The round
+// driver (protocol.Driver) re-runs the algorithm's initialization when
+// it fires, restoring exact answers after the tree heals.
 func (rt *Runtime) ConsumeReinit() bool {
 	if rt.flt == nil || !rt.flt.reinit {
 		return false

@@ -377,8 +377,8 @@ func (rt *Runtime) EndTrace() {
 // round in the flight recorder: the answer q for the queried rank k,
 // stamped with the decision's absolute rank error against the oracle
 // data (an O(N) scan, paid only when a collector is attached).
-// Drivers (the experiment harness, Simulation.Step, test harnesses)
-// call it once per round; the invariant oracle replays these events
+// The round driver (protocol.Driver) calls it once per round; the
+// invariant oracle replays these events
 // against a centralized sort oracle. A no-op without a collector.
 func (rt *Runtime) TraceDecision(k, q int) {
 	if rt.tr == nil {

@@ -4,6 +4,7 @@
 package simtest
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -171,27 +172,34 @@ func PressureRuntime(n, rounds int, pessimistic bool, seed int64) (*sim.Runtime,
 	})
 }
 
-// RunAgainstOracle drives alg for rounds continuous rounds (plus the
-// initialization round) and returns an error on the first round whose
-// answer deviates from the central oracle. Each round's answer is
-// recorded as a decision event when the runtime carries a trace
-// collector, so the flight-recorder oracle can replay the run.
+// RunAgainstOracle drives alg through a protocol.Driver for rounds
+// continuous rounds (plus the initialization round, round 0) and
+// returns an error on the first round whose answer deviates from the
+// central oracle. Each round's answer is recorded as a decision event
+// when the runtime carries a trace collector, so the flight-recorder
+// oracle can replay the run.
 func RunAgainstOracle(rt *sim.Runtime, alg protocol.Algorithm, k, rounds int) error {
-	q, err := alg.Init(rt, k)
-	if err != nil {
-		return fmt.Errorf("%s init: %w", alg.Name(), err)
-	}
-	rt.TraceDecision(k, q)
-	if want := rt.Oracle(k); q != want {
-		return fmt.Errorf("%s init: got %d, oracle %d", alg.Name(), q, want)
-	}
-	for t := 1; t <= rounds; t++ {
-		rt.AdvanceRound()
-		q, err = alg.Step(rt)
+	return run(rt, alg, k, rounds, true)
+}
+
+// RunTraced is RunAgainstOracle without the per-round exactness
+// assertion: it drives alg and records decisions, leaving judgment to
+// the replay oracle — the driver for bounded-error protocols and for
+// runs under loss or faults.
+func RunTraced(rt *sim.Runtime, alg protocol.Algorithm, k, rounds int) error {
+	return run(rt, alg, k, rounds, false)
+}
+
+func run(rt *sim.Runtime, alg protocol.Algorithm, k, rounds int, exact bool) error {
+	d := protocol.NewDriver(rt, alg, k)
+	for t := 0; t <= rounds; t++ {
+		q, _, err := d.Round()
 		if err != nil {
-			return fmt.Errorf("%s round %d: %w", alg.Name(), t, err)
+			return err
 		}
-		rt.TraceDecision(k, q)
+		if !exact {
+			continue
+		}
 		if want := rt.Oracle(k); q != want {
 			return fmt.Errorf("%s round %d: got %d, oracle %d", alg.Name(), t, q, want)
 		}
@@ -199,22 +207,26 @@ func RunAgainstOracle(rt *sim.Runtime, alg protocol.Algorithm, k, rounds int) er
 	return nil
 }
 
-// RunTraced is RunAgainstOracle without the per-round exactness
-// assertion: it drives alg and records decisions, leaving judgment to
-// the replay oracle — the driver for bounded-error protocols.
-func RunTraced(rt *sim.Runtime, alg protocol.Algorithm, k, rounds int) error {
-	q, err := alg.Init(rt, k)
-	if err != nil {
-		return fmt.Errorf("%s init: %w", alg.Name(), err)
+// StepFailer is an algorithm that answers with the central oracle but
+// fails every Step of round FailAt, as a desynchronized protocol does.
+type StepFailer struct {
+	FailAt int
+	k      int
+}
+
+// Name implements protocol.Algorithm.
+func (a *StepFailer) Name() string { return "failer" }
+
+// Init implements protocol.Algorithm.
+func (a *StepFailer) Init(rt *sim.Runtime, k int) (int, error) {
+	a.k = k
+	return rt.Oracle(k), nil
+}
+
+// Step implements protocol.Algorithm.
+func (a *StepFailer) Step(rt *sim.Runtime) (int, error) {
+	if rt.Round() == a.FailAt {
+		return 0, errors.New("desynchronized")
 	}
-	rt.TraceDecision(k, q)
-	for t := 1; t <= rounds; t++ {
-		rt.AdvanceRound()
-		q, err = alg.Step(rt)
-		if err != nil {
-			return fmt.Errorf("%s round %d: %w", alg.Name(), t, err)
-		}
-		rt.TraceDecision(k, q)
-	}
-	return nil
+	return rt.Oracle(a.k), nil
 }

@@ -92,7 +92,8 @@ func TestDifferentialExactAlgorithms(t *testing.T) {
 // TestDifferentialUnderLoss replays lossy runs. Answers may legitimately
 // deviate (the quantile check is switched off), but energy conservation,
 // message accounting — now with real drop events — and framing must
-// still hold.
+// still hold. The driver runs Init over reliable links, so the drops
+// come from the continuous rounds.
 func TestDifferentialUnderLoss(t *testing.T) {
 	sawDrop := false
 	for seed := int64(0); seed < 6; seed++ {
@@ -124,45 +125,15 @@ func TestDifferentialUnderLoss(t *testing.T) {
 	}
 }
 
-// runFaulty drives alg under an attached fault plan with the recovery
-// contract the experiment engine implements: a pending repair/recovery
-// flag — or a Step desynchronization — replays the algorithm's
-// initialization over temporarily reliable links (crashes stay in
-// force), restoring exact answers once the tree heals.
-func runFaulty(rt *sim.Runtime, alg protocol.Algorithm, k, rounds int) error {
-	reinit := func() (int, error) {
-		rt.SetFaultReliable(true)
-		defer rt.SetFaultReliable(false)
-		return alg.Init(rt, k)
-	}
-	q, err := reinit()
-	if err != nil {
-		return fmt.Errorf("%s init: %w", alg.Name(), err)
-	}
-	rt.TraceDecision(k, q)
-	for t := 1; t <= rounds; t++ {
-		rt.AdvanceRound()
-		if rt.ConsumeReinit() {
-			if q, err = reinit(); err != nil {
-				return fmt.Errorf("%s reinit round %d: %w", alg.Name(), t, err)
-			}
-		} else if q, err = alg.Step(rt); err != nil {
-			if q, err = reinit(); err != nil {
-				return fmt.Errorf("%s recovery round %d: %w", alg.Name(), t, err)
-			}
-		}
-		rt.TraceDecision(k, q)
-	}
-	return nil
-}
-
 // TestDifferentialUnderFaults replays chaos runs — a scheduled
 // crash/recovery plus a Gilbert–Elliott bursty uplink under ARQ — for
-// both paper algorithms. Answers may legitimately degrade while
-// coverage is broken (the golden recovery study judges those), but
-// energy conservation — now including per-attempt retry charges, ACK
-// frames, and join handshakes — message accounting, ack balance, and
-// framing must hold exactly.
+// both paper algorithms, driven through the shared recovery contract
+// (simtest.RunTraced: repair or desynchronization replays a reliable
+// Init). Answers may legitimately degrade while coverage is broken
+// (the golden recovery study judges those), but energy conservation —
+// now including per-attempt retry charges, ACK frames, and join
+// handshakes — message accounting, ack balance, and framing must hold
+// exactly.
 func TestDifferentialUnderFaults(t *testing.T) {
 	algs := []struct {
 		name string
@@ -189,7 +160,7 @@ func TestDifferentialUnderFaults(t *testing.T) {
 			if err := rt.SetFaults(plan, seed, sim.DefaultARQ()); err != nil {
 				t.Fatal(err)
 			}
-			if err := runFaulty(rt, alg.mk(), 1+rng.Intn(n), rounds); err != nil {
+			if err := simtest.RunTraced(rt, alg.mk(), 1+rng.Intn(n), rounds); err != nil {
 				t.Fatalf("%s seed %d (%s): %v", alg.name, seed, spec, err)
 			}
 			cfg := oracle.FromRuntime(rt)

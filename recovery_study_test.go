@@ -8,6 +8,7 @@ import (
 	"wsnq/internal/core"
 	"wsnq/internal/experiment"
 	"wsnq/internal/fault"
+	"wsnq/internal/protocol"
 	"wsnq/internal/series"
 	"wsnq/internal/sim"
 	"wsnq/internal/trace"
@@ -89,31 +90,14 @@ func TestGoldenRecoveryStudy(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The standard recovery contract: a pending repair/recovery flag or
-	// a Step desynchronization replays Init over reliable links.
-	alg := core.NewIQ(core.DefaultIQOptions())
-	k := cfg.K()
-	reinit := func() (int, error) {
-		rt.SetFaultReliable(true)
-		defer rt.SetFaultReliable(false)
-		return alg.Init(rt, k)
-	}
-	q, err := reinit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.TraceDecision(k, q)
-	for r := 1; r < rounds; r++ {
-		rt.AdvanceRound()
-		if rt.ConsumeReinit() {
-			q, err = reinit()
-		} else if q, err = alg.Step(rt); err != nil {
-			q, err = reinit()
+	// The standard recovery contract (protocol.Driver): a pending
+	// repair/recovery flag or a Step desynchronization replays Init over
+	// reliable links.
+	drv := protocol.NewDriver(rt, core.NewIQ(core.DefaultIQOptions()), cfg.K())
+	for r := 0; r < rounds; r++ {
+		if _, _, err := drv.Round(); err != nil {
+			t.Fatal(err)
 		}
-		if err != nil {
-			t.Fatalf("round %d: %v", r, err)
-		}
-		rt.TraceDecision(k, q)
 	}
 	rt.EndTrace()
 

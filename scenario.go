@@ -4,7 +4,6 @@ import (
 	"context"
 	"io"
 
-	"wsnq/internal/experiment"
 	"wsnq/internal/scenario"
 	"wsnq/internal/sim"
 )
@@ -211,28 +210,18 @@ func NewScenarioSimulation(sc *Scenario, alg Algorithm) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := factory(alg)
+	s, err := newSimulation(icfg, alg)
 	if err != nil {
 		return nil, err
-	}
-	rt, err := experiment.BuildRuntime(icfg, 0)
-	if err != nil {
-		return nil, err
-	}
-	s := &Simulation{
-		rt: rt, alg: f(), k: icfg.K(),
-		seed:   icfg.Seed ^ 0xFA07,
-		budget: icfg.Energy.InitialBudget,
 	}
 	if sc.s.Faults != nil {
 		arq := sim.DefaultARQ()
 		if sc.s.ARQ != nil {
 			arq = *sc.s.ARQ
 		}
-		if err := rt.SetFaults(sc.s.Faults, s.seed, arq); err != nil {
+		if err := s.rt.SetFaults(sc.s.Faults, s.seed, arq); err != nil {
 			return nil, err
 		}
-		s.faults = true
 	}
 	return s, nil
 }

@@ -18,12 +18,10 @@ import (
 type Simulation struct {
 	rt     *sim.Runtime
 	alg    protocol.Algorithm
+	drv    *protocol.Driver
 	k      int
 	seed   int64
 	budget float64
-	round  int
-	init   bool
-	faults bool
 
 	userTrace TraceCollector  // collector attached via SetTrace
 	adaptTap  trace.Collector // private point derivation for the controller
@@ -67,6 +65,12 @@ func NewSimulation(cfg Config, alg Algorithm) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newSimulation(icfg, alg)
+}
+
+// newSimulation builds the runtime of run index 0 of icfg and the
+// driver of alg over it.
+func newSimulation(icfg experiment.Config, alg Algorithm) (*Simulation, error) {
 	f, err := factory(alg)
 	if err != nil {
 		return nil, err
@@ -75,8 +79,9 @@ func NewSimulation(cfg Config, alg Algorithm) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
+	a, k := f(), icfg.K()
 	return &Simulation{
-		rt: rt, alg: f(), k: icfg.K(),
+		rt: rt, alg: a, drv: protocol.NewDriver(rt, a, k), k: k,
 		seed:   icfg.Seed ^ 0xFA07,
 		budget: icfg.Energy.InitialBudget,
 	}, nil
@@ -85,20 +90,16 @@ func NewSimulation(cfg Config, alg Algorithm) (*Simulation, error) {
 // SetFaults attaches a fault plan with the default ARQ recovery
 // configuration (sim.DefaultARQ: acknowledged hops, 3 retransmissions,
 // dead-parent detection after 2 silent rounds). Subsequent Steps
-// inject the scheduled faults and drive the recovery contract: after a
-// tree repair or a protocol desynchronization, the next Step replays
-// initialization over temporarily reliable links (RoundResult.Reinit
+// inject the scheduled faults; after a tree repair the next Step
+// replays initialization over temporarily reliable links, as it does
+// after any desynchronization under loss or faults (RoundResult.Reinit
 // reports it). Call before the first Step; attaching twice is an
 // error.
 func (s *Simulation) SetFaults(p *FaultPlan) error {
 	if p == nil {
 		return fmt.Errorf("wsnq: nil fault plan")
 	}
-	if err := s.rt.SetFaults(p.plan, s.seed, sim.DefaultARQ()); err != nil {
-		return err
-	}
-	s.faults = true
-	return nil
+	return s.rt.SetFaults(p.plan, s.seed, sim.DefaultARQ())
 }
 
 // SetTrace attaches a flight recorder to the simulation (nil detaches):
@@ -128,6 +129,7 @@ func (s *Simulation) syncTrace() {
 func (s *Simulation) SetController(c *Controller) error {
 	if c == nil || len(c.policies) == 0 {
 		s.ctl, s.adaptTap = nil, nil
+		s.drv.SetController(nil) // untyped: a nil *adapt.Controller would be called
 		s.syncTrace()
 		return nil
 	}
@@ -137,6 +139,7 @@ func (s *Simulation) SetController(c *Controller) error {
 	}
 	ctl.Bind(adapt.BindRuntime(s.alg, s.rt))
 	s.ctl = ctl
+	s.drv.SetController(ctl)
 	s.adaptTap = series.New(1).IngestTotals(s.alg.Name(), experiment.SeriesSampler(s.rt), ctl.Observe)
 	s.syncTrace()
 	return nil
@@ -170,57 +173,21 @@ func (s *Simulation) Universe() (lo, hi int) { return s.rt.Universe() }
 // AlgorithmName returns the running algorithm's display name.
 func (s *Simulation) AlgorithmName() string { return s.alg.Name() }
 
-// Step executes the next round (the first call runs initialization) and
-// reports the result.
+// Step executes the next round (the first call runs initialization)
+// and reports the result. It drives the recovery contract of
+// protocol.Driver: initialization runs over reliable links, and a tree
+// repair, or a desynchronization under loss or faults, replays it
+// (RoundResult.Reinit). On a lossless, fault-free simulation a
+// protocol error is returned.
 func (s *Simulation) Step() (RoundResult, error) {
-	var (
-		q      int
-		err    error
-		reinit bool
-	)
-	replay := func() (int, error) {
-		// Initialization is modeled as reliable transfer, exactly like
-		// the batch engine: iid loss and link-level faults are suspended
-		// so the round-by-round driver derives the same streams.
-		if p := s.rt.LossProb(); p > 0 {
-			_ = s.rt.SetLossProb(0)
-			defer func() { _ = s.rt.SetLossProb(p) }()
-		}
-		s.rt.SetFaultReliable(true)
-		defer s.rt.SetFaultReliable(false)
-		return s.alg.Init(s.rt, s.k)
-	}
-	if !s.init {
-		q, err = replay()
-		s.init = true
-	} else {
-		s.rt.AdvanceRound()
-		s.round++
-		if s.ctl != nil {
-			// The previous round's point has flushed through the
-			// controller's tap during AdvanceRound; queued actions apply
-			// before this round's protocol work. A proactive reroot sets
-			// the repair flag the reinit check below consumes.
-			s.ctl.Apply()
-		}
-		if s.faults && s.rt.ConsumeReinit() {
-			reinit = true
-			q, err = replay()
-		} else if q, err = s.alg.Step(s.rt); err != nil && s.faults {
-			// Faults desynchronized the protocol; replay initialization
-			// like the experiment engine does.
-			reinit = true
-			q, err = replay()
-		}
-	}
+	q, reinit, err := s.drv.Round()
 	if err != nil {
-		return RoundResult{}, fmt.Errorf("round %d: %w", s.round, err)
+		return RoundResult{}, err
 	}
-	s.rt.TraceDecision(s.k, q)
 	st := s.rt.Stats()
 	_, hotspot := s.rt.Ledger().MaxSpent()
 	return RoundResult{
-		Round:         s.round,
+		Round:         s.rt.Round(),
 		Quantile:      q,
 		Oracle:        s.rt.Oracle(s.k),
 		TotalEnergy:   s.rt.Ledger().TotalSpent(),

@@ -293,7 +293,8 @@ type Metrics struct {
 	// HotspotToMedianRatio compares the hottest node's drain with the
 	// median node's.
 	HotspotToMedianRatio float64
-	// Reinits counts loss-triggered re-initializations.
+	// Reinits counts re-initializations: after a desynchronization
+	// under loss or faults, or after a tree repair.
 	Reinits int
 	// DegradedRounds counts rounds answered with incomplete sensor
 	// coverage (zero unless WithFaults attaches a fault plan).
