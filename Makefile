@@ -5,7 +5,7 @@ FUZZTIME ?= 5s
 #   go install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: help build test check bench bench-json bench-diff race vet fmt fuzz-smoke allocs oracle trace-guard telemetry alert series-guard prof prof-guard chaos serve scenario slo slo-guard adapt adapt-guard staticcheck
+.PHONY: help build test check bench bench-json bench-diff race vet fmt fmt-check fuzz-smoke allocs oracle telemetry alert prof chaos serve scenario slo adapt guard staticcheck
 
 # help lists the targets; keep the `##` summaries next to the targets
 # they describe.
@@ -13,7 +13,9 @@ help:
 	@echo "wsnq targets:"
 	@echo "  build       compile every package and tool"
 	@echo "  test        run the full test suite"
-	@echo "  check       the merge gate: vet + staticcheck + race + allocs + oracle + telemetry + alert + prof + chaos + serve + scenario + slo + adapt + fuzz-smoke"
+	@echo "  check       the merge gate: fmt-check + vet + staticcheck + race + allocs + oracle + telemetry"
+	@echo "              + alert + prof + chaos + serve + scenario + slo + adapt + fuzz-smoke"
+	@echo "  fmt-check   fail when gofmt -l lists any file (make fmt fixes them)"
 	@echo "  vet         static analysis"
 	@echo "  race        full suite under the race detector"
 	@echo "  allocs      round-path memory contract: zero-alloc convergecast and broadcast, no loss"
@@ -29,19 +31,16 @@ help:
 	@echo "  slo         SLO gate: spec grammar round-trips, budget-arithmetic"
 	@echo "              goldens, serve /slo surface, and the live-vs-replay"
 	@echo "              budget-trajectory differential"
-	@echo "  slo-guard   per-round SLO evaluation overhead vs the 2% budget (idle machine)"
 	@echo "  adapt       closed-loop adaptation gate: policy grammar round-trips,"
 	@echo "              controller hysteresis/cooldown determinism, the pinned"
 	@echo "              golden adaptive study, cross-driver decision parity,"
 	@echo "              and the adapt-clause scenario goldens"
-	@echo "  adapt-guard per-round policy evaluation overhead vs the 2% budget (idle machine)"
 	@echo "  prof        profiling gate: attribution unit suite, golden attribution"
 	@echo "              snapshot, /profilez + pprof endpoint coverage, and the"
 	@echo "              allocation-ceiling regression guard"
 	@echo "  fuzz-smoke  short fresh-input budget for every fuzz target"
-	@echo "  trace-guard disabled-tracer overhead vs the 2% budget (idle machine)"
-	@echo "  series-guard series-ingest overhead vs the 2% budget (idle machine)"
-	@echo "  prof-guard  phase-attribution overhead vs the 2% budget (idle machine)"
+	@echo "  guard       every observer layer's overhead vs its 2% budget: disabled tracer,"
+	@echo "              series ingest, phase attribution, SLO and policy evaluation (idle machine)"
 	@echo "  bench       run all Go benchmarks with -benchmem"
 	@echo "  bench-json  measure tracked hot paths into BENCH_<date>.json; the"
 	@echo "              regression guard (TestBenchRegressionGuard) diffs the"
@@ -96,19 +95,13 @@ alert:
 # endpoints (/profilez, /metrics runtime gauges, /debug/pprof labels),
 # the golden attribution snapshot of the 60-node lossy study, and the
 # allocation-ceiling arithmetic behind the regression guard. The timing
-# half of the layer (the ≤2% overhead budget) lives in prof-guard,
-# which — like trace-guard and series-guard — needs an idle machine.
+# half of the layer (the ≤2% overhead budget) lives in guard, which
+# needs an idle machine.
 prof:
 	$(GO) test -v ./internal/prof/
 	$(GO) test -v ./internal/benchfmt/
 	$(GO) test -short -run '^(TestProfilezEndpoint|TestMetricsPublishRuntime|TestDebugPprofProfile)$$' -v ./internal/telemetry/
 	$(GO) test -count=1 -run '^(TestProfAttributionGolden|TestProfNamesLCLLSTopAllocPhase|TestProfResetAndReuse|TestBenchRegressionGuard|TestBenchGuardArithmetic)$$' -v .
-
-# prof-guard measures phase attribution (pprof label switches plus the
-# allocation-delta accounting) against the traced hot path and fails
-# beyond the 2% budget. Timing sensitive — run on an idle machine.
-prof-guard:
-	PROF_GUARD=1 $(GO) test -count=1 -run '^TestProfOverheadGuard$$' -v .
 
 # chaos is the robustness gate: the seeded crash+burst smoke of HBC
 # and IQ through the engine, the public API, the oracle's fault mode,
@@ -147,17 +140,11 @@ scenario:
 # layer's /slo surface and update stamping, and the differential test
 # proving a live run and a replay of its recording produce identical
 # budget trajectories and burn-rate transitions. The timing half (the
-# ≤2% per-round overhead budget) lives in slo-guard.
+# ≤2% per-round overhead budget) lives in guard.
 slo:
 	$(GO) test -v ./internal/slo/
 	$(GO) test -race -run '^TestSLO' -v ./internal/serve/
 	$(GO) test -count=1 -run '^(TestSLOBudgetGolden|TestSLOLiveReplayDifferential)$$' -v .
-
-# slo-guard measures the serve step path with objectives attached
-# against the plain step path and fails beyond the 2% budget. Timing
-# sensitive — run on an idle machine.
-slo-guard:
-	SLO_GUARD=1 $(GO) test -count=1 -run '^TestSLOOverheadGuard$$' -v .
 
 # adapt gates the closed-loop adaptation layer: the policy grammar and
 # controller unit suite (round-trips, hysteresis, cooldowns, replay
@@ -166,16 +153,10 @@ slo-guard:
 # and the cross-driver parity tests proving the batch engine, the
 # round-by-round Simulation, and the parallel grid all derive one
 # decision log. The timing half (the ≤2% per-round overhead budget)
-# lives in adapt-guard.
+# lives in guard.
 adapt:
 	$(GO) test -v ./internal/adapt/
 	$(GO) test -count=1 -run '^(TestGoldenAdaptiveStudy|TestAdaptDecisionsDeterministicAcrossParallelism|TestSimulationControllerMatchesEngine|TestControllerResetForReuse|TestControllerCanonicalString)$$' -v .
-
-# adapt-guard measures the serve step path with a standing (never
-# firing) policy set attached against the plain step path and fails
-# beyond the 2% budget. Timing sensitive — run on an idle machine.
-adapt-guard:
-	ADAPT_GUARD=1 $(GO) test -count=1 -run '^TestAdaptOverheadGuard$$' -v .
 
 # fuzz-smoke gives each fuzz target a short budget of fresh inputs on
 # top of the committed corpus (go test -fuzz accepts one target at a
@@ -191,17 +172,17 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME) ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePolicy$$' -fuzztime $(FUZZTIME) ./internal/adapt/
 
-# trace-guard measures the disabled flight recorder against the
-# pre-instrumentation hot path and fails beyond the 2% budget. Timing
-# sensitive — run on an idle machine.
-trace-guard:
-	TRACE_GUARD=1 $(GO) test -run '^TestTracerOverheadGuard$$' -v ./internal/sim/
-
-# series-guard measures per-round series ingestion (sampling fast path
-# plus the storm rule) against the traced hot path and fails beyond the
-# 2% budget. Timing sensitive — run on an idle machine.
-series-guard:
-	SERIES_GUARD=1 $(GO) test -count=1 -run '^TestSeriesIngestOverheadGuard$$' -v .
+# guard times every observer layer against its 2% budget through the
+# one harness in internal/guard: each pair's arms are measured 10
+# times, interleaved, and the per-side minima compared. The pairs: the
+# disabled flight recorder against convergecast without its hooks
+# (internal/sim); series ingestion and phase attribution on the traced
+# IQ round; SLO evaluation and a standing policy set on the serve step
+# (root). Timing sensitive — run on an idle machine; -p 1 keeps the two
+# packages from timing each other. Without WSNQ_GUARD=1 the same tests
+# only smoke-step both arms, in `make test`.
+guard:
+	WSNQ_GUARD=1 $(GO) test -p 1 -count=1 -run '^(TestTracerOverheadGuard|TestOverheadGuards)$$' -v ./internal/sim/ .
 
 # staticcheck is enforced when the pinned binary is installed: any
 # finding fails the gate. Machines without it skip with an install
@@ -214,15 +195,16 @@ staticcheck:
 		echo "staticcheck not installed; skipped (go install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION))"; \
 	fi
 
-# check is the gate every change must pass: static analysis (vet
-# always, staticcheck when installed — see the staticcheck target),
+# check is the gate every change must pass: gofmt cleanliness, static
+# analysis (vet always, staticcheck when installed — see the
+# staticcheck target),
 # the full suite under the race detector (the parallel engine makes
 # this the interesting configuration), the round path's allocation
 # gate, the oracle suite, the telemetry
 # gate, the observability gate, the profiling gate, the chaos gate,
 # the query-service gate, the golden-scenario gate, the SLO gate, the
 # closed-loop adaptation gate, and a fuzz smoke run.
-check: vet staticcheck race allocs oracle telemetry alert prof chaos serve scenario slo adapt fuzz-smoke
+check: fmt-check vet staticcheck race allocs oracle telemetry alert prof chaos serve scenario slo adapt fuzz-smoke
 
 bench:
 	$(GO) test -bench . -benchmem .
@@ -245,3 +227,7 @@ bench-diff:
 
 fmt:
 	gofmt -l -w .
+
+# fmt-check fails, listing the files, when any file is not gofmt-clean.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "not gofmt-clean (run make fmt):"; echo "$$out"; exit 1; fi

@@ -22,12 +22,12 @@ type AdaptDecision = adapt.Decision
 // hybrid to IQ or HBC, widening or narrowing IQ's Ξ interval, and
 // proactively re-rooting the tree away from a dying relay.
 //
-// Attach it to a study with WithAdaptation (or Observer.Adapt): the
-// engine then builds one deterministic per-run controller from the
-// policy set and collects every run's decision log here. Controllers
-// never force sequential execution — per-run decisions depend only on
-// that run's point stream, and Decisions returns the logs in grid
-// order — so adaptive studies stay bit-identical at any parallelism.
+// Attach it to a study as Observer.Adapt: the engine then builds one
+// deterministic per-run controller from the policy set and collects
+// every run's decision log here. Controllers never force sequential
+// execution — per-run decisions depend only on that run's point
+// stream, and Decisions returns the logs in grid order — so adaptive
+// studies stay bit-identical at any parallelism.
 // For a live round-by-round simulation use Simulation.SetController.
 //
 // The policy grammar (see DESIGN.md §4k):
@@ -117,21 +117,4 @@ func (c *Controller) Reset() {
 	c.mu.Lock()
 	c.logs = nil
 	c.mu.Unlock()
-}
-
-// WithAdaptation attaches a closed-loop adaptation controller to the
-// study: every simulation run gets its own deterministic policy
-// evaluator whose fired actions — protocol switches, Ξ rescaling,
-// proactive reroots — apply to that run between rounds, and whose
-// decision log lands in c (read it with Decisions after the study).
-// Adaptation does not force sequential execution. A nil c (or one with
-// no policies) detaches.
-func WithAdaptation(c *Controller) Option {
-	return func(o *engineOptions) {
-		if c == nil {
-			o.exp.Adapt = nil
-			return
-		}
-		o.exp.Adapt = c.engineOptions()
-	}
 }

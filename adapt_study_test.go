@@ -99,7 +99,7 @@ func TestGoldenAdaptiveStudy(t *testing.T) {
 		t.Fatal(err)
 	}
 	adaptive, err := wsnq.CompareContext(ctx, cfg, []wsnq.Algorithm{wsnq.IQ},
-		wsnq.WithFaults(plan), wsnq.WithAdaptation(ctl))
+		wsnq.WithFaults(plan), wsnq.WithObserver(&wsnq.Observer{Adapt: ctl}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,8 +150,7 @@ func main() {
 			}
 		}
 	}
-	// One Observer bundles every requested sink; FigureOptions feeds it
-	// through the same engine path the deprecated per-field options used.
+	// One Observer bundles every requested sink for the figure's sweeps.
 	ob := &wsnq.Observer{}
 	opts.Observer = ob
 	if *traceFile != "" {

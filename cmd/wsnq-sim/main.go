@@ -138,7 +138,8 @@ func main() {
 		opts = append(opts, wsnq.WithFaults(plan))
 	}
 	// One Observer bundles every requested sink: alert rules, the
-	// series store and telemetry behind -http, and the JSONL recorder.
+	// series store and telemetry behind -http, the adaptation
+	// controller, and the JSONL recorder.
 	ob := &wsnq.Observer{}
 	if *alertSpec != "" {
 		var err error
@@ -167,13 +168,11 @@ func main() {
 			ob.Telemetry.AttachSLO(slos)
 		}
 	}
-	var controller *wsnq.Controller
 	if *adaptSpec != "" {
 		var err error
-		if controller, err = wsnq.NewController(*adaptSpec); err != nil {
+		if ob.Adapt, err = wsnq.NewController(*adaptSpec); err != nil {
 			s.Fatal(err)
 		}
-		opts = append(opts, wsnq.WithAdaptation(controller))
 	}
 	var flushTrace func() error
 	if *traceFile != "" {
@@ -225,8 +224,8 @@ func main() {
 		cli.PrintAlerts(os.Stdout, ob.Alerts.States(), ob.Alerts.Log())
 	}
 
-	if controller != nil {
-		ds := controller.Decisions()
+	if ob.Adapt != nil {
+		ds := ob.Adapt.Decisions()
 		fmt.Printf("\nadaptation decisions (%d):\n", len(ds))
 		for _, d := range ds {
 			fmt.Printf("  %s\n", d)

@@ -114,13 +114,10 @@ func parityController(t *testing.T, cell parityCell) *Controller {
 func runEngine(t *testing.T, cfg Config, alg Algorithm, cell parityCell) driverRun {
 	t.Helper()
 	rec := trace.NewRecorder()
-	opts := []Option{WithObserver(&Observer{Trace: rec})}
+	ctl := parityController(t, cell)
+	opts := []Option{WithObserver(&Observer{Trace: rec, Adapt: ctl})}
 	if p := parityPlan(t, cell); p != nil {
 		opts = append(opts, WithFaults(p))
-	}
-	ctl := parityController(t, cell)
-	if ctl != nil {
-		opts = append(opts, WithAdaptation(ctl))
 	}
 	m, err := RunContext(context.Background(), cfg, alg, opts...)
 	if err != nil {

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -39,12 +40,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	static, err := wsnq.Compare(cfg, []wsnq.Algorithm{wsnq.IQ, wsnq.HBC}, wsnq.WithFaults(plan))
+	ctx := context.Background()
+	static, err := wsnq.CompareContext(ctx, cfg, []wsnq.Algorithm{wsnq.IQ, wsnq.HBC}, wsnq.WithFaults(plan))
 	if err != nil {
 		log.Fatal(err)
 	}
-	adaptive, err := wsnq.Compare(cfg, []wsnq.Algorithm{wsnq.IQ},
-		wsnq.WithFaults(plan), wsnq.WithAdaptation(ctl))
+	adaptive, err := wsnq.CompareContext(ctx, cfg, []wsnq.Algorithm{wsnq.IQ},
+		wsnq.WithFaults(plan), wsnq.WithObserver(&wsnq.Observer{Adapt: ctl}))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,9 +56,9 @@ func main() {
 		name string
 		m    wsnq.Metrics
 	}{
-		{"static IQ", static[wsnq.IQ]},
-		{"static HBC", static[wsnq.HBC]},
-		{"IQ + controller", adaptive[wsnq.IQ]},
+		{"static IQ", static[0].Metrics},
+		{"static HBC", static[1].Metrics},
+		{"IQ + controller", adaptive[0].Metrics},
 	} {
 		fmt.Printf("%-17s %15d %18.0f %14.1f\n",
 			row.name, row.m.DegradedRounds, row.m.LifetimeRounds, row.m.FramesPerRound)

@@ -3,7 +3,6 @@ package wsnq_test
 import (
 	"bytes"
 	"math"
-	"os"
 	"strings"
 	"testing"
 
@@ -137,59 +136,5 @@ func TestProfResetAndReuse(t *testing.T) {
 		if s.Scope != "TAG" {
 			t.Errorf("stale scope %q after Reset, want TAG only", s.Scope)
 		}
-	}
-}
-
-// TestProfOverheadGuard enforces the ≤2% profiler budget on the traced
-// round hot path: both sides run with tracing attached, so the guard
-// measures exactly what phase attribution adds on top of the recorder.
-// One warm simulation serves both sides, attribution alternating on it
-// rep by rep, and the per-side minimum filters scheduler noise.
-// Opt-in (PROF_GUARD=1) like the trace and series guards: wall-clock
-// ratios are meaningless on loaded CI machines.
-//
-//	PROF_GUARD=1 go test -run TestProfOverheadGuard .
-func TestProfOverheadGuard(t *testing.T) {
-	if os.Getenv("PROF_GUARD") != "1" {
-		t.Skip("timing guard; set PROF_GUARD=1 to run")
-	}
-	cfg := wsnq.DefaultConfig()
-	cfg.Nodes = 500
-	cfg.Rounds = 1 << 30 // stepped manually
-	cfg.Runs = 1
-	sim, err := wsnq.NewSimulation(cfg, wsnq.IQ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.SetTrace(nopCollector{})
-	if _, err := sim.Step(); err != nil { // initialization round
-		t.Fatal(err)
-	}
-	p := wsnq.NewProf()
-	bench := func() float64 {
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.Step(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		return float64(r.NsPerOp())
-	}
-	var base, prof float64
-	for rep := 0; rep < 6; rep++ {
-		sim.SetProf(nil)
-		if b := bench(); rep == 0 || b < base {
-			base = b
-		}
-		sim.SetProf(p)
-		if pr := bench(); rep == 0 || pr < prof {
-			prof = pr
-		}
-	}
-	overhead := prof/base - 1
-	t.Logf("traced %.0f ns/op, traced+prof %.0f ns/op, overhead %+.2f%%", base, prof, 100*overhead)
-	if overhead > 0.02 {
-		t.Errorf("phase attribution costs %.2f%% on the traced round (> 2%% budget)", 100*overhead)
 	}
 }

@@ -9,14 +9,14 @@ import (
 )
 
 // TestWithTelemetry runs a small comparison with a live telemetry sink
-// attached and checks both surfaces: the engine metrics registry and
+// attached through WithObserver and checks both surfaces: the engine metrics registry and
 // the health analyzer's report.
 func TestWithTelemetry(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Runs = 2
 	tel := NewTelemetry()
 	algs := []Algorithm{TAG, IQ}
-	if _, err := Compare(cfg, algs, WithTelemetry(tel)); err != nil {
+	if _, err := CompareContext(context.Background(), cfg, algs, WithObserver(&Observer{Telemetry: tel})); err != nil {
 		t.Fatal(err)
 	}
 
@@ -69,7 +69,7 @@ func TestTelemetryServe(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := quickCfg()
-	if _, err := Run(cfg, IQ, WithTelemetry(tel)); err != nil {
+	if _, err := Run(cfg, IQ, WithObserver(&Observer{Telemetry: tel})); err != nil {
 		t.Fatal(err)
 	}
 
@@ -111,7 +111,7 @@ func TestWithTelemetryAndTrace(t *testing.T) {
 	tel := NewTelemetry()
 	var events int
 	collector := collectorFunc(func(TraceEvent) { events++ })
-	if _, err := Run(cfg, TAG, WithTrace(collector), WithTelemetry(tel)); err != nil {
+	if _, err := Run(cfg, TAG, WithObserver(&Observer{Trace: collector, Telemetry: tel})); err != nil {
 		t.Fatal(err)
 	}
 	if events == 0 {

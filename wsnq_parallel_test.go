@@ -94,8 +94,8 @@ func TestCompareContextMatchesRun(t *testing.T) {
 	}
 }
 
-// TestCompareResultsAccessors checks Get and Map against the ordered
-// slice.
+// TestCompareResultsAccessors checks Get and Algorithms against the
+// ordered slice.
 func TestCompareResultsAccessors(t *testing.T) {
 	cfg := parCfg()
 	cfg.Runs = 1
@@ -110,9 +110,8 @@ func TestCompareResultsAccessors(t *testing.T) {
 	if _, ok := res.Get(Algorithm("NOPE")); ok {
 		t.Error("Get of an absent algorithm reported ok")
 	}
-	byAlg := res.Map()
-	if len(byAlg) != 2 || !reflect.DeepEqual(byAlg[TAG], res[0].Metrics) {
-		t.Errorf("Map() = %v, inconsistent with the slice", byAlg)
+	if algs := res.Algorithms(); !reflect.DeepEqual(algs, []Algorithm{TAG, IQ}) {
+		t.Errorf("Algorithms() = %v, want [TAG IQ]", algs)
 	}
 }
 
